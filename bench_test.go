@@ -491,8 +491,9 @@ func BenchmarkEngineMulticastSemantic(b *testing.B) {
 
 // BenchmarkMulticastInstrumented measures the cost of the metrics/events
 // instrumentation on the multicast hot path. "on" gives every engine a
-// live private registry (obs.Default()), "off" the nil instruments of
-// obs.Nop() — so on/off isolates exactly the atomics and timestamping the
+// live private registry (obs.Default()), "off" the registry-less
+// obs.Nop(). Engine counters and gauges back Stats, so they record in
+// both; on/off isolates the timing histograms and timestamping the
 // observability layer adds. The acceptance bar is "on" within 5% of "off".
 func BenchmarkMulticastInstrumented(b *testing.B) {
 	for _, v := range []struct {

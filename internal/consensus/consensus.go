@@ -260,20 +260,20 @@ func (s *Service) instance(id string) *instance {
 // dispatch routes incoming wire messages to their instances.
 func (s *Service) dispatch() {
 	defer s.wg.Done()
-	inbox := s.ep.Inbox(s.group, transport.Consensus)
+	inbox := s.ep.InboxBatch(s.group, transport.Consensus)
 	for {
 		select {
 		case <-s.done:
 			return
-		case env, ok := <-inbox:
+		case envs, ok := <-inbox:
 			if !ok {
 				return
 			}
-			m, ok := env.Msg.(Msg)
-			if !ok {
-				continue
+			for _, env := range envs {
+				if m, ok := env.Msg.(Msg); ok {
+					s.instance(m.Instance).deliver(env.From, m)
+				}
 			}
-			s.instance(m.Instance).deliver(env.From, m)
 		}
 	}
 }

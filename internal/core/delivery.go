@@ -52,8 +52,10 @@ type Delivery struct {
 	NewView View
 }
 
-// Stats exposes the engine's counters; all values are cumulative since
-// Start except where noted.
+// Stats exposes the engine's counters, read from its obs instruments.
+// Counters count from the engine's construction — a group left and
+// re-hosted on a node starts again from zero, while the node's registry
+// stays cumulative — and the remaining fields describe current state.
 type Stats struct {
 	// View is the identifier of the current view.
 	View ident.ViewID

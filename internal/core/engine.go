@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/consensus"
@@ -34,10 +35,10 @@ type Engine struct {
 	cancel  context.CancelFunc
 	once    sync.Once
 
-	// Snapshot mirrors (written by the loop under mu, read by the facade).
-	mu       sync.Mutex
-	curView  View
-	curStats Stats
+	// view is the installed view as the facade sees it: the loop publishes
+	// a fresh copy at every install. final holds the Stats frozen by Stop.
+	view  atomic.Pointer[View]
+	final atomic.Pointer[Stats]
 
 	// ---- state below is owned exclusively by the run loop ----
 
@@ -133,13 +134,6 @@ type Engine struct {
 	// multicast/arrival hot path, so releasing credits for purged entries
 	// allocates nothing per call.
 	purgeScratch []queue.Item
-
-	// viewDirty marks the loop-owned view as newer than the facade
-	// snapshot, so syncSnapshots clones it only when it actually changed
-	// instead of allocating on every loop iteration.
-	viewDirty bool
-
-	stats Stats
 }
 
 type reqKind uint8
@@ -294,7 +288,7 @@ func New(cfg Config) (*Engine, error) {
 		former:      make(map[ident.PID]struct{}),
 		flow:        newFlowState(cfg, initial.Members),
 	}
-	e.curView = e.cv.Clone()
+	e.publishView()
 	return e, nil
 }
 
@@ -318,14 +312,16 @@ func (e *Engine) Start() error {
 }
 
 // Stop terminates the engine. Parked Multicast and Deliver calls return
-// ErrStopped. Stop does not close the endpoint or the detector; the caller
-// owns those.
+// ErrStopped, and Stats reports the final counts from then on. Stop does
+// not close the endpoint or the detector; the caller owns those.
 func (e *Engine) Stop() {
 	e.once.Do(func() {
 		e.cancel()
 		close(e.stopC)
 		<-e.doneC
 		e.cons.Stop()
+		final := e.m.stats()
+		e.final.Store(&final)
 	})
 }
 
@@ -334,16 +330,16 @@ func (e *Engine) Self() ident.PID { return e.cfg.Self }
 
 // View returns the most recently installed view.
 func (e *Engine) View() View {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.curView.Clone()
+	return e.view.Load().Clone()
 }
 
-// Stats returns a snapshot of the engine counters.
+// Stats reads the engine counters from its instruments. Each field is
+// read atomically on its own; after Stop the values are frozen.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.curStats
+	if s := e.final.Load(); s != nil {
+		return *s
+	}
+	return e.m.stats()
 }
 
 // Multicast submits a data message to the group (transition t2). meta must
@@ -388,10 +384,7 @@ func (e *Engine) Multicast(ctx context.Context, meta obsolete.Msg, payload []byt
 // message and everything after it were not.
 func (e *Engine) MulticastBatch(ctx context.Context, msgs []OutMsg) (ident.ViewRef, error) {
 	if len(msgs) == 0 {
-		e.mu.Lock()
-		v := e.curView.Ref()
-		e.mu.Unlock()
-		return v, nil
+		return e.view.Load().Ref(), nil
 	}
 	req := getRequest(reqMulticast, ctx)
 	req.batch = msgs
@@ -513,10 +506,10 @@ func (e *Engine) submit(ctx context.Context, req *request) error {
 // firehose of submitters cannot starve the network-facing cases.
 const reqDrainCap = 256
 
-// run is the protocol loop: a single goroutine owning all state. Both
-// inboxes are consumed in batch mode: one receive hands the loop every
-// envelope pending for the channel, amortising the wakeup and the
-// per-iteration snapshot mirror over the whole run.
+// run is the protocol loop: a single goroutine owning all state. One
+// receive from an inbox hands the loop every envelope pending for the
+// channel, amortising the wakeup and the per-iteration gauge refresh over
+// the whole run.
 func (e *Engine) run() {
 	defer close(e.doneC)
 	dataIn := e.cfg.Endpoint.InboxBatch(e.cfg.Group, transport.Data)
@@ -590,7 +583,7 @@ func (e *Engine) run() {
 		case <-joinC:
 			e.onJoinRetry()
 		}
-		e.syncSnapshots()
+		e.syncGauges()
 	}
 }
 
@@ -693,35 +686,23 @@ func (e *Engine) send(p ident.PID, ch transport.Channel, msg any) {
 	}
 }
 
-// syncSnapshots mirrors loop-owned state into the facade-visible copies.
-func (e *Engine) syncSnapshots() {
-	e.stats.View = e.cv.ID
-	e.stats.Epoch = e.cv.Epoch
-	e.stats.Members = len(e.cv.Members)
-	e.stats.ToDeliverLen = e.toDeliver.Len()
-	e.stats.HistoryLen = e.delivered.Len()
-	e.stats.Parked = len(e.multicastQ)
-	e.stats.LastSent = e.lastSent
-	if st := e.toDeliver.Stats(); st.MaxLen > e.stats.ToDeliverMax {
-		e.stats.ToDeliverMax = st.MaxLen
-	}
-	e.m.view.Set(int64(e.cv.ID))
-	e.m.members.Set(int64(len(e.cv.Members)))
-	e.m.qLen.Set(int64(e.stats.ToDeliverLen))
-	e.m.qMax.Max(int64(e.stats.ToDeliverMax))
-	e.m.histLen.Set(int64(e.stats.HistoryLen))
-	e.m.purgedQ.Set(int64(e.stats.PurgedToDeliver))
-	e.m.parkedG.Set(int64(e.stats.Parked))
-	e.mu.Lock()
-	if e.viewDirty {
-		// Clone only when the view actually changed: the facade keeps its
-		// own copy, and cloning per loop iteration would put a members
-		// alloc on the per-batch hot path.
-		e.curView = e.cv.Clone()
-		e.viewDirty = false
-	}
-	e.curStats = e.stats
-	e.mu.Unlock()
+// syncGauges refreshes the occupancy gauges after each loop iteration.
+func (e *Engine) syncGauges() {
+	e.m.qLen.Set(int64(e.toDeliver.Len()))
+	e.m.qMax.Set(int64(e.toDeliver.Stats().MaxLen))
+	e.m.histLen.Set(int64(e.delivered.Len()))
+	e.m.parkedG.Set(int64(len(e.multicastQ)))
+	e.m.lastSent.Set(int64(e.lastSent))
+}
+
+// publishView hands the facade a copy of the loop-owned view; the loop
+// calls it whenever it installs one.
+func (e *Engine) publishView() {
+	v := e.cv.Clone()
+	e.view.Store(&v)
+	e.m.view.Set(int64(v.ID))
+	e.m.epoch.Set(int64(v.Epoch))
+	e.m.members.Set(int64(len(v.Members)))
 }
 
 // shutdown fails every parked request.
@@ -734,7 +715,7 @@ func (e *Engine) shutdown() {
 		m.mcC <- mcResult{err: ErrStopped}
 	}
 	e.multicastQ = nil
-	e.syncSnapshots()
+	e.syncGauges()
 }
 
 // onRequest dispatches an application request.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/ident"
+	"repro/internal/inboxtest"
 	"repro/internal/obsolete"
 	"repro/internal/queue"
 	"repro/internal/transport"
@@ -93,7 +94,7 @@ func TestDrainOutgoingNeverDropsWithoutCredit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pep.Close()
-	inbox := pep.Inbox(0, transport.Data)
+	inbox := inboxtest.New(pep.InboxBatch(0, transport.Data))
 
 	cfg := Config{Self: "me", Endpoint: ep, Window: 4, Relation: obsolete.Empty{}}
 	e := &Engine{
@@ -115,20 +116,19 @@ func TestDrainOutgoingNeverDropsWithoutCredit(t *testing.T) {
 	recv := func() []ident.Seq {
 		var got []ident.Seq
 		for {
-			select {
-			case env := <-inbox:
-				switch m := env.Msg.(type) {
-				case DataMsg:
-					got = append(got, m.Meta.Seq)
-				case *DataBatchMsg:
-					for _, dm := range m.Msgs {
-						got = append(got, dm.Meta.Seq)
-					}
-				default:
-					t.Fatalf("unexpected data-channel message %T", env.Msg)
-				}
-			case <-time.After(50 * time.Millisecond):
+			env, ok := inbox.Next(50 * time.Millisecond)
+			if !ok {
 				return got
+			}
+			switch m := env.Msg.(type) {
+			case DataMsg:
+				got = append(got, m.Meta.Seq)
+			case *DataBatchMsg:
+				for _, dm := range m.Msgs {
+					got = append(got, dm.Meta.Seq)
+				}
+			default:
+				t.Fatalf("unexpected data-channel message %T", env.Msg)
 			}
 		}
 	}

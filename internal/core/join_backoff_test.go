@@ -9,30 +9,27 @@ import (
 
 	"repro/internal/fd"
 	"repro/internal/ident"
+	"repro/internal/inboxtest"
 	"repro/internal/obs"
 	"repro/internal/obsolete"
 	"repro/internal/transport"
 )
 
 // backoffRecv waits for one envelope on the contact's control inbox.
-func backoffRecv(t *testing.T, in <-chan transport.Envelope) transport.Envelope {
+func backoffRecv(t *testing.T, in *inboxtest.Reader[transport.Envelope]) transport.Envelope {
 	t.Helper()
-	select {
-	case env := <-in:
-		return env
-	case <-time.After(5 * time.Second):
+	env, ok := in.Next(5 * time.Second)
+	if !ok {
 		t.Fatal("timed out waiting for a join request")
-		return transport.Envelope{}
 	}
+	return env
 }
 
 // backoffNone asserts no envelope arrives within a short grace period.
-func backoffNone(t *testing.T, in <-chan transport.Envelope) {
+func backoffNone(t *testing.T, in *inboxtest.Reader[transport.Envelope]) {
 	t.Helper()
-	select {
-	case env := <-in:
+	if env, ok := in.Next(30 * time.Millisecond); ok {
 		t.Fatalf("unexpected envelope before the backoff elapsed: %+v", env)
-	case <-time.After(30 * time.Millisecond):
 	}
 }
 
@@ -52,7 +49,7 @@ func TestJoinBackoffScheduleFake(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cep.Close()
-	inbox := cep.Inbox(0, transport.Ctl)
+	inbox := inboxtest.New(cep.InboxBatch(0, transport.Ctl))
 
 	det := fd.NewManual()
 	defer det.Stop()

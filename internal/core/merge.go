@@ -360,7 +360,7 @@ func (e *Engine) onMergePred(from ident.PID, m MergePredMsg) {
 		e.merge.contrib[from] = &c
 		size := uint64(mergePredBytes(m))
 		e.merge.bytesIn += size
-		e.stats.MergeBytesRecv += size
+		e.m.mergeBytesRecv.Add(size)
 	}
 	e.checkMergePropose()
 }
@@ -444,7 +444,6 @@ func mergeFlush(rel obsolete.Relation, combined map[obsolete.MsgID]DataMsg) []Da
 // the flush, the frontiers and the union view.
 func (e *Engine) finishMerge(val consensusValue) {
 	mg := e.merge
-	e.stats.Merges++
 	e.m.mergesTotal.Inc()
 	took := e.clock.Since(mg.started)
 	e.m.mergeDur.ObserveDuration(took)
@@ -464,7 +463,6 @@ func (e *Engine) abortMerge(reason string) {
 	e.blocked = false
 	e.blockStart = time.Time{}
 	e.m.blockedG.Set(0)
-	e.stats.MergeAborts++
 	e.m.mergeAborts.Inc()
 	e.ev.MergeAborted(mg.ref.String(), reason)
 	for _, p := range mg.union {

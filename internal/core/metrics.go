@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/ident"
 	"repro/internal/obs"
 )
 
@@ -12,55 +13,61 @@ const (
 )
 
 // engMetrics are the engine's instruments, resolved once at construction.
-// Every field is nil-safe: an engine built without a registry records
-// nothing and pays one nil check per site. The Stats struct (delivery.go)
-// remains the loop-owned source-compatible snapshot; these instruments are
-// the exported, label-scoped view of the same sites plus the timings the
-// plain counters cannot carry.
+// They are the only store of the engine's counts: Stats is a typed read
+// of them (stats). Counters and gauges always record — an engine built
+// without a registry counts into a private one — while the timing
+// histograms stay nil (no-op) without a registry, since nothing could
+// read them.
 type engMetrics struct {
-	// Protocol counters (mirroring Stats fields).
-	multicast      *obs.Counter
-	delivered      *obs.Counter
-	viewsInstalled *obs.Counter
-	purgedOutgoing *obs.Counter
-	flushAdded     *obs.Counter
-	parks          *obs.Counter
-	stablePruned   *obs.Counter
-	joinBytesSent  *obs.Counter
-	joinBytesRecv  *obs.Counter
+	// Protocol counters (Stats fields).
+	multicast       counter
+	delivered       counter
+	viewsInstalled  counter
+	purgedToDeliver counter
+	purgedOutgoing  counter
+	flushAdded      counter
+	parks           counter
+	stablePruned    counter
+	joinStatesSent  counter
+	joinBacklogSent counter
+	joinBytesSent   counter
+	joinBacklogRecv counter
+	joinBytesRecv   counter
 
 	// Previously silent (or silently-swallowed) paths, now typed.
-	dropStale       *obs.Counter // engine_dropped_total{reason=stale_view}
-	dropCovered     *obs.Counter // {reason=covered}
-	dropStaleCredit *obs.Counter // {reason=stale_credit}
-	dropDefer       *obs.Counter // {reason=defer_overflow}
-	dropBadType     *obs.Counter // {reason=bad_type}
-	dropUnknownCtl  *obs.Counter // {reason=unknown_ctl}
-	dropExpelled    *obs.Counter // {reason=expelled}
-	sendErrors      *obs.Counter
-	decisionFails   *obs.Counter
-	creditFlushes   *obs.Counter // owed-credit batches flushed to senders
+	dropStale       counter // engine_dropped_total{reason=stale_view}
+	dropCovered     counter // {reason=covered}
+	dropStaleCredit counter // {reason=stale_credit}
+	dropDefer       counter // {reason=defer_overflow}
+	dropBadType     counter // {reason=bad_type}
+	dropUnknownCtl  counter // {reason=unknown_ctl}
+	dropExpelled    counter // {reason=expelled}
+	sendErrors      counter
+	decisionFails   counter
+	creditFlushes   counter // owed-credit batches flushed to senders
 
 	// decisionsIgnored counts consensus decisions the engine received but
 	// could not install, by reason — engine_decisions_ignored_total{reason=}.
 	// With concurrent proposals (splits, merges) some losers are expected;
 	// the label tells an operator whether the losses are the benign kind.
-	decisionsIgnored map[string]*obs.Counter
+	decisionsIgnored map[string]counter
 
 	// Partition healing (merge.go).
-	mergesTotal *obs.Counter // view_merge_total: union views installed
-	mergeAborts *obs.Counter // view_merge_aborts_total: merges timed out
+	mergesTotal    counter // view_merge_total: union views installed
+	mergeAborts    counter // view_merge_aborts_total: merges timed out
+	mergeBytesRecv counter // view_merge_bytes_recv_total: contribution bytes received
 
-	// Gauges (current state, refreshed by syncSnapshots).
+	// Gauges describe this incarnation: construction resets them.
 	view      *obs.Gauge
+	epoch     *obs.Gauge
 	members   *obs.Gauge
 	qLen      *obs.Gauge
 	qMax      *obs.Gauge // delivery-queue high-water mark
 	histLen   *obs.Gauge
-	purgedQ   *obs.Gauge // cumulative delivery-queue purges (queue-owned)
 	blockedG  *obs.Gauge // 1 while the group is blocked for a view change
 	flushLast *obs.Gauge // size of the last decided flush set
 	parkedG   *obs.Gauge // multicasts currently parked on flow control
+	lastSent  *obs.Gauge // highest sequence number committed for our stream
 
 	// Timings.
 	deliverLatency *obs.Histogram // enqueue -> application deliver
@@ -76,23 +83,51 @@ type engMetrics struct {
 	mergeBytes *obs.Histogram // view_merge_delta_bytes: contribution bytes per merge
 }
 
+// counter is a registry counter plus its value when the engine was built.
+// A group left and re-hosted on one node resolves to the same registry
+// counter, which stays cumulative; n reports the count of this
+// incarnation only.
+type counter struct {
+	*obs.Counter
+	base uint64
+}
+
+func (c counter) n() uint64 { return c.Value() - c.base }
+
 func newEngMetrics(ob *obs.Obs) engMetrics {
-	drop := func(reason obs.DropReason) *obs.Counter {
-		return ob.CounterL("engine_dropped_total", obs.L("reason", string(reason)))
+	cob := ob // counters and gauges back Stats, so they always record
+	if ob.Registry() == nil {
+		cob = obs.Default()
 	}
-	ignored := func(reason string) *obs.Counter {
-		return ob.CounterL("engine_decisions_ignored_total", obs.L("reason", reason))
+	ctr := func(name string, labels ...obs.Label) counter {
+		c := cob.CounterL(name, labels...)
+		return counter{c, c.Value()}
+	}
+	gauge := func(name string) *obs.Gauge {
+		g := cob.Gauge(name)
+		g.Set(0)
+		return g
+	}
+	drop := func(reason obs.DropReason) counter {
+		return ctr("engine_dropped_total", obs.L("reason", string(reason)))
+	}
+	ignored := func(reason string) counter {
+		return ctr("engine_decisions_ignored_total", obs.L("reason", reason))
 	}
 	return engMetrics{
-		multicast:      ob.Counter("engine_multicast_total"),
-		delivered:      ob.Counter("engine_delivered_total"),
-		viewsInstalled: ob.Counter("engine_views_installed_total"),
-		purgedOutgoing: ob.Counter("engine_purged_outgoing_total"),
-		flushAdded:     ob.Counter("engine_flush_added_total"),
-		parks:          ob.Counter("engine_multicast_parks_total"),
-		stablePruned:   ob.Counter("engine_stable_pruned_total"),
-		joinBytesSent:  ob.Counter("engine_join_bytes_sent_total"),
-		joinBytesRecv:  ob.Counter("engine_join_bytes_recv_total"),
+		multicast:       ctr("engine_multicast_total"),
+		delivered:       ctr("engine_delivered_total"),
+		viewsInstalled:  ctr("engine_views_installed_total"),
+		purgedToDeliver: ctr("engine_purged_todeliver_total"),
+		purgedOutgoing:  ctr("engine_purged_outgoing_total"),
+		flushAdded:      ctr("engine_flush_added_total"),
+		parks:           ctr("engine_multicast_parks_total"),
+		stablePruned:    ctr("engine_stable_pruned_total"),
+		joinStatesSent:  ctr("engine_join_states_sent_total"),
+		joinBacklogSent: ctr("engine_join_backlog_sent_total"),
+		joinBytesSent:   ctr("engine_join_bytes_sent_total"),
+		joinBacklogRecv: ctr("engine_join_backlog_recv_total"),
+		joinBytesRecv:   ctr("engine_join_bytes_recv_total"),
 
 		dropStale:       drop(obs.DropStaleView),
 		dropCovered:     drop(obs.DropCovered),
@@ -101,28 +136,30 @@ func newEngMetrics(ob *obs.Obs) engMetrics {
 		dropBadType:     drop(obs.DropBadType),
 		dropUnknownCtl:  drop(obs.DropUnknownCtl),
 		dropExpelled:    drop(obs.DropExpelled),
-		sendErrors:      ob.Counter("engine_send_errors_total"),
-		decisionFails:   ob.Counter("engine_decision_failures_total"),
-		creditFlushes:   ob.Counter("engine_credit_flushes_total"),
+		sendErrors:      ctr("engine_send_errors_total"),
+		decisionFails:   ctr("engine_decision_failures_total"),
+		creditFlushes:   ctr("engine_credit_flushes_total"),
 
-		decisionsIgnored: map[string]*obs.Counter{
+		decisionsIgnored: map[string]counter{
 			ignoreDuplicate:  ignored(ignoreDuplicate),
 			ignoreNotBlocked: ignored(ignoreNotBlocked),
 			ignoreWrongView:  ignored(ignoreWrongView),
 		},
 
-		mergesTotal: ob.Counter("view_merge_total"),
-		mergeAborts: ob.Counter("view_merge_aborts_total"),
+		mergesTotal:    ctr("view_merge_total"),
+		mergeAborts:    ctr("view_merge_aborts_total"),
+		mergeBytesRecv: ctr("view_merge_bytes_recv_total"),
 
-		view:      ob.Gauge("engine_view"),
-		members:   ob.Gauge("engine_members"),
-		qLen:      ob.Gauge("engine_todeliver_len"),
-		qMax:      ob.Gauge("engine_todeliver_max"),
-		histLen:   ob.Gauge("engine_history_len"),
-		purgedQ:   ob.Gauge("engine_purged_todeliver"),
-		blockedG:  ob.Gauge("engine_blocked"),
-		flushLast: ob.Gauge("engine_last_flush_len"),
-		parkedG:   ob.Gauge("engine_parked_current"),
+		view:      gauge("engine_view"),
+		epoch:     gauge("engine_epoch"),
+		members:   gauge("engine_members"),
+		qLen:      gauge("engine_todeliver_len"),
+		qMax:      gauge("engine_todeliver_max"),
+		histLen:   gauge("engine_history_len"),
+		blockedG:  gauge("engine_blocked"),
+		flushLast: gauge("engine_last_flush_len"),
+		parkedG:   gauge("engine_parked_current"),
+		lastSent:  gauge("engine_last_sent"),
 
 		deliverLatency: ob.Histogram("engine_deliver_latency_seconds", obs.DurationBuckets),
 		viewChange:     ob.Histogram("engine_view_change_seconds", obs.DurationBuckets),
@@ -134,4 +171,52 @@ func newEngMetrics(ob *obs.Obs) engMetrics {
 		mergeDur:   ob.Histogram("view_merge_seconds", obs.DurationBuckets),
 		mergeBytes: ob.Histogram("view_merge_delta_bytes", obs.CountBuckets),
 	}
+}
+
+// stats reads the instruments into the Stats facade.
+func (m *engMetrics) stats() Stats {
+	s := Stats{
+		View:    ident.ViewID(m.view.Value()),
+		Epoch:   ident.Epoch(m.epoch.Value()),
+		Members: int(m.members.Value()),
+
+		Multicast:      m.multicast.n(),
+		Delivered:      m.delivered.n(),
+		ViewsInstalled: m.viewsInstalled.n(),
+
+		PurgedToDeliver: m.purgedToDeliver.n(),
+		PurgedOutgoing:  m.purgedOutgoing.n(),
+		DroppedStale:    m.dropStale.n(),
+		DroppedCovered:  m.dropCovered.n(),
+
+		CreditsStaleView:   m.dropStaleCredit.n(),
+		CtlDeferredDropped: m.dropDefer.n(),
+
+		JoinStatesSent:  m.joinStatesSent.n(),
+		JoinBacklogSent: m.joinBacklogSent.n(),
+		JoinBytesSent:   m.joinBytesSent.n(),
+		JoinBacklogRecv: m.joinBacklogRecv.n(),
+		JoinBytesRecv:   m.joinBytesRecv.n(),
+
+		FlushAdded:   m.flushAdded.n(),
+		LastFlushLen: int(m.flushLast.Value()),
+
+		MulticastParks: m.parks.n(),
+		Parked:         int(m.parkedG.Value()),
+		ToDeliverLen:   int(m.qLen.Value()),
+		ToDeliverMax:   int(m.qMax.Value()),
+
+		LastSent: ident.Seq(m.lastSent.Value()),
+
+		StablePruned: m.stablePruned.n(),
+		HistoryLen:   int(m.histLen.Value()),
+
+		Merges:         m.mergesTotal.n(),
+		MergeAborts:    m.mergeAborts.n(),
+		MergeBytesRecv: m.mergeBytesRecv.n(),
+	}
+	for _, c := range m.decisionsIgnored {
+		s.DecisionsIgnored += c.n()
+	}
+	return s
 }

@@ -43,6 +43,11 @@ type Node struct {
 
 	mu     sync.Mutex
 	groups map[ident.GroupID]*Group
+	// busy holds the ids a host call is still setting up or a Leave is
+	// still tearing down. They count as hosted, so at most one engine per
+	// id is ever live and a re-hosted group never shares its inboxes with
+	// its predecessor.
+	busy map[ident.GroupID]struct{}
 	// groupPeers tracks each hosted group's *current* peers (initial
 	// view at Create, then every installed view via groupDetector): the
 	// node-owned heartbeat monitors exactly the union, so a peer evicted
@@ -142,6 +147,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		obs:        cfg.Obs,
 		det:        cfg.Detector,
 		groups:     make(map[ident.GroupID]*Group),
+		busy:       make(map[ident.GroupID]struct{}),
 		groupPeers: make(map[ident.GroupID]ident.PIDs),
 	}
 	// Endpoints that can mirror their drop counters onto an obs registry
@@ -210,10 +216,11 @@ func (n *Node) host(id ident.GroupID, gc GroupConfig, join *JoinSpec) (*Group, e
 		n.mu.Unlock()
 		return nil, fmt.Errorf("core: node closed")
 	}
-	if _, dup := n.groups[id]; dup {
+	if n.hostedLocked(id) {
 		n.mu.Unlock()
 		return nil, fmt.Errorf("core: group %d already hosted", id)
 	}
+	n.busy[id] = struct{}{}
 	n.mu.Unlock()
 
 	// Inboxes must exist before the first peer envelope can arrive for
@@ -239,22 +246,20 @@ func (n *Node) host(id ident.GroupID, gc GroupConfig, join *JoinSpec) (*Group, e
 		Obs:               n.obs.With(obs.L("group", fmt.Sprint(id))),
 	})
 	if err != nil {
+		// The id is reserved, so the eagerly registered inboxes are ours.
 		tap.Stop()
-		n.deregisterIfUnhosted(id)
+		n.cfg.Endpoint.Deregister(id)
+		n.unbusy(id)
 		return nil, err
 	}
 	grp := &Group{Engine: eng, node: n, id: id, tap: tap}
 
 	n.mu.Lock()
+	delete(n.busy, id)
 	if n.closed {
 		n.mu.Unlock()
 		tap.Stop()
 		return nil, fmt.Errorf("core: node closed")
-	}
-	if _, dup := n.groups[id]; dup {
-		n.mu.Unlock()
-		tap.Stop()
-		return nil, fmt.Errorf("core: group %d already hosted", id)
 	}
 	n.groups[id] = grp
 	// A joiner monitors its contacts until the first installed view
@@ -308,16 +313,18 @@ func (g *Group) Add(ps ...ident.PID) error {
 	return g.Engine.RequestMembershipChange(ident.NewPIDs(ps...), nil)
 }
 
-// deregisterIfUnhosted undoes Create's eager inbox registration on an
-// error path — unless the group is (or became) hosted, in which case the
-// inboxes belong to the live engine.
-func (n *Node) deregisterIfUnhosted(id ident.GroupID) {
-	n.mu.Lock()
+// hostedLocked reports whether id is hosted or busy. Callers hold n.mu.
+func (n *Node) hostedLocked(id ident.GroupID) bool {
 	_, hosted := n.groups[id]
+	_, busy := n.busy[id]
+	return hosted || busy
+}
+
+// unbusy releases id for hosting.
+func (n *Node) unbusy(id ident.GroupID) {
+	n.mu.Lock()
+	delete(n.busy, id)
 	n.mu.Unlock()
-	if !hosted {
-		n.cfg.Endpoint.Deregister(id)
-	}
 }
 
 // setGroupPeers records group id's newly installed membership and
@@ -349,7 +356,8 @@ func (n *Node) syncPeersLocked() {
 // Leave detaches the group from its node: the engine stops, the detector
 // tap closes, the transport inboxes are deregistered (stray traffic for
 // the group is dropped and counted from then on), and peers no group
-// shares anymore stop being monitored. Leave is idempotent.
+// shares anymore stop being monitored. The id cannot be hosted again
+// until all of that is done. Leave is idempotent.
 func (g *Group) Leave() {
 	n := g.node
 	n.mu.Lock()
@@ -358,6 +366,7 @@ func (g *Group) Leave() {
 		return // already left (or superseded)
 	}
 	delete(n.groups, g.id)
+	n.busy[g.id] = struct{}{}
 	delete(n.groupPeers, g.id)
 	n.syncPeersLocked()
 	n.mu.Unlock()
@@ -365,6 +374,7 @@ func (g *Group) Leave() {
 	g.Engine.Stop()
 	g.tap.Stop()
 	n.cfg.Endpoint.Deregister(g.id)
+	n.unbusy(g.id)
 }
 
 // Close shuts the node down: every hosted group leaves, the detector

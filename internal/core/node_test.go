@@ -496,3 +496,98 @@ func TestManyGroupsOverTCPSharedConnections(t *testing.T) {
 	cancel()
 	wg.Wait()
 }
+
+// gatedDeregister is an Endpoint whose Deregister waits until release is
+// closed, holding a Group.Leave between its engine stop and its inbox
+// teardown.
+type gatedDeregister struct {
+	transport.Endpoint
+	entered chan ident.GroupID
+	release chan struct{}
+}
+
+func (e *gatedDeregister) Deregister(g ident.GroupID) {
+	select {
+	case e.entered <- g:
+	default:
+	}
+	<-e.release
+	e.Endpoint.Deregister(g)
+}
+
+// TestNodeLeaveHoldsIDUntilTornDown: a group id stays hosted until its
+// Leave has stopped the engine and deregistered the inboxes. A Create of
+// the same id in that window must fail: if it succeeded, the departing
+// incarnation's Deregister would close the new incarnation's inboxes and
+// the new member would never deliver.
+func TestNodeLeaveHoldsIDUntilTornDown(t *testing.T) {
+	net := transport.NewMemNetwork()
+	epA, err := net.Endpoint("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	epB, err := net.Endpoint("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated := &gatedDeregister{Endpoint: epB, entered: make(chan ident.GroupID, 1), release: make(chan struct{})}
+	det := fd.NewManual()
+	defer det.Stop()
+	nodeA, err := NewNode(NodeConfig{Self: "a", Endpoint: epA, Detector: det})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodeA.Close()
+	nodeB, err := NewNode(NodeConfig{Self: "b", Endpoint: gated, Detector: det})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodeB.Close()
+	var once sync.Once
+	release := func() { once.Do(func() { close(gated.release) }) }
+	defer release() // before nodeB.Close, whose Deregister waits for it
+
+	const gid = ident.GroupID(5)
+	gc := GroupConfig{InitialView: View{ID: 1, Members: ident.NewPIDs("a", "b")}}
+	ga, err := nodeA.Create(gid, gc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := nodeB.Create(gid, gc)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	left := make(chan struct{})
+	go func() {
+		gb.Leave()
+		close(left)
+	}()
+	select {
+	case <-gated.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Leave never reached Deregister")
+	}
+	if _, err := nodeB.Create(gid, gc); err == nil {
+		t.Fatal("group re-hosted while its previous incarnation was still being torn down")
+	}
+	release()
+	<-left
+
+	gb2, err := nodeB.Create(gid, gc)
+	if err != nil {
+		t.Fatalf("re-create after Leave returned: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := ga.Multicast(ctx, obsolete.Msg{Sender: "a", Seq: 1}, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	d, err := gb2.Deliver(ctx)
+	if err != nil || d.Kind != DeliverData || d.Meta.Sender != "a" {
+		t.Fatalf("new incarnation delivered %+v, %v; want a's message", d, err)
+	}
+	if drops := epB.Drops().DroppedUnknownGroup; drops != 0 {
+		t.Fatalf("%d envelopes dropped as unknown-group at b", drops)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -147,7 +148,7 @@ func TestNodeObservability(t *testing.T) {
 	}
 	// The receivers purge obsoleted entries as later messages arrive.
 	waitFor("purge activity at n1", func() bool {
-		return nodes["n1"].reg.Snapshot().Gauges[key("engine_purged_todeliver")] > 0
+		return nodes["n1"].reg.Snapshot().Counters[key("engine_purged_todeliver_total")] > 0
 	})
 
 	// A membership-preserving view change: every node's view gauge must
@@ -202,4 +203,223 @@ func TestNodeObservability(t *testing.T) {
 		s := nodes["n2"].buf.String()
 		return strings.Contains(s, `"msg":"view_install"`) && strings.Contains(s, `"group":"7"`)
 	})
+}
+
+// TestStatsAgreeWithMetrics: Stats is a typed read of the engine's
+// instruments, per incarnation. A 3-node group runs multicasts (purged at
+// the receivers), a stale-view drop, a view change removing n2, and n2's
+// leave and rejoin of the same id. Every counter field of Stats must equal
+// the group's counter delta in Metrics since the incarnation was built;
+// the rejoined incarnation starts from zero, the departed one's Stats stay
+// frozen, and the node's counters stay cumulative across both.
+func TestStatsAgreeWithMetrics(t *testing.T) {
+	net := transport.NewMemNetwork()
+	pids := ident.NewPIDs("n0", "n1", "n2")
+	const gid = ident.GroupID(7)
+	gc := GroupConfig{
+		InitialView: View{ID: 1, Members: pids},
+		Relation:    obsolete.KEnumeration{K: 4},
+		Window:      8,
+	}
+	nodes := make(map[ident.PID]*Node)
+	groups := make(map[ident.PID]*Group)
+	for _, p := range pids {
+		ep, err := net.Endpoint(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		det := fd.NewManual()
+		defer det.Stop()
+		node, err := NewNode(NodeConfig{Self: p, Endpoint: ep, Detector: det, Obs: obs.New(nil, obs.NewRegistry(), nil)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer node.Close()
+		g, err := node.Create(gid, gc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[p], groups[p] = node, g
+	}
+
+	// The metric behind each counter field of Stats; a key ending in ","
+	// is a prefix summed over the remaining labels.
+	lg := fmt.Sprintf("group=%d", gid)
+	metric := map[string]string{
+		"Multicast":          "engine_multicast_total{" + lg + "}",
+		"Delivered":          "engine_delivered_total{" + lg + "}",
+		"ViewsInstalled":     "engine_views_installed_total{" + lg + "}",
+		"PurgedToDeliver":    "engine_purged_todeliver_total{" + lg + "}",
+		"PurgedOutgoing":     "engine_purged_outgoing_total{" + lg + "}",
+		"DroppedStale":       "engine_dropped_total{" + lg + ",reason=stale_view}",
+		"DroppedCovered":     "engine_dropped_total{" + lg + ",reason=covered}",
+		"CreditsStaleView":   "engine_dropped_total{" + lg + ",reason=stale_credit}",
+		"CtlDeferredDropped": "engine_dropped_total{" + lg + ",reason=defer_overflow}",
+		"JoinStatesSent":     "engine_join_states_sent_total{" + lg + "}",
+		"JoinBacklogSent":    "engine_join_backlog_sent_total{" + lg + "}",
+		"JoinBytesSent":      "engine_join_bytes_sent_total{" + lg + "}",
+		"JoinBacklogRecv":    "engine_join_backlog_recv_total{" + lg + "}",
+		"JoinBytesRecv":      "engine_join_bytes_recv_total{" + lg + "}",
+		"FlushAdded":         "engine_flush_added_total{" + lg + "}",
+		"MulticastParks":     "engine_multicast_parks_total{" + lg + "}",
+		"StablePruned":       "engine_stable_pruned_total{" + lg + "}",
+		"DecisionsIgnored":   "engine_decisions_ignored_total{" + lg + ",",
+		"Merges":             "view_merge_total{" + lg + "}",
+		"MergeAborts":        "view_merge_aborts_total{" + lg + "}",
+		"MergeBytesRecv":     "view_merge_bytes_recv_total{" + lg + "}",
+	}
+	counterOf := func(s obs.Snapshot, key string) uint64 {
+		if !strings.HasSuffix(key, ",") {
+			return s.Counters[key]
+		}
+		var sum uint64
+		for k, v := range s.Counters {
+			if strings.HasPrefix(k, key) {
+				sum += v
+			}
+		}
+		return sum
+	}
+	u64 := reflect.TypeOf(uint64(0))
+	// diff lists the counter fields of st that differ from now - base.
+	diff := func(st Stats, now, base obs.Snapshot) []string {
+		t.Helper()
+		var bad []string
+		v := reflect.ValueOf(st)
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if f.Type != u64 {
+				continue
+			}
+			key, ok := metric[f.Name]
+			if !ok {
+				t.Fatalf("Stats.%s has no metric in this test's table", f.Name)
+			}
+			if got, want := v.Field(i).Uint(), counterOf(now, key)-counterOf(base, key); got != want {
+				bad = append(bad, fmt.Sprintf("%s=%d, metric delta %d", f.Name, got, want))
+			}
+		}
+		return bad
+	}
+	// agree polls until g's Stats match its node's Metrics relative to
+	// base: the two reads are not one atomic step, so a loop still
+	// settling may differ between them for a moment.
+	agree := func(p ident.PID, g *Group, base obs.Snapshot) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			bad := diff(g.Stats(), nodes[p].Metrics(), base)
+			if len(bad) == 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: Stats disagree with Metrics: %v", p, bad)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	waitFor := func(desc string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timeout waiting for %s", desc)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	tr := obsolete.NewEnumTracker(4)
+	chain := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			var seq ident.Seq
+			var annot []byte
+			if prev := tr.Seq(); prev > 0 {
+				seq, annot = tr.Next(prev)
+			} else {
+				seq, annot = tr.Next()
+			}
+			if _, err := groups["n0"].Multicast(ctx, obsolete.Msg{Sender: "n0", Seq: seq, Annot: annot}, []byte("x")); err != nil {
+				t.Fatalf("multicast %d: %v", seq, err)
+			}
+		}
+	}
+	purged := func() uint64 { return counterOf(nodes["n2"].Metrics(), metric["PurgedToDeliver"]) }
+
+	chain(12)
+	waitFor("purges at n1 and n2", func() bool {
+		return groups["n1"].Stats().PurgedToDeliver > 0 && groups["n2"].Stats().PurgedToDeliver > 0
+	})
+	if _, err := groups["n1"].DeliverBatch(ctx, make([]Delivery, 4)); err != nil {
+		t.Fatal(err)
+	}
+	// A data envelope for a view nobody is in is dropped as stale.
+	stray, err := net.Endpoint("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stray.Close()
+	if err := stray.Send("n1", gid, transport.Data, DataMsg{View: 99, Meta: obsolete.Msg{Sender: "x", Seq: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("stale drop at n1", func() bool { return groups["n1"].Stats().DroppedStale == 1 })
+
+	if err := groups["n0"].RequestViewChange("n2"); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pids {
+		waitFor(string(p)+" installing view 2", func() bool { return groups[p].View().ID == 2 })
+	}
+	for _, p := range pids {
+		agree(p, groups[p], obs.Snapshot{})
+	}
+
+	// Leave: the departed incarnation's Stats freeze at its final counts.
+	old := groups["n2"]
+	beforeLeave := purged()
+	old.Leave()
+	frozen := old.Stats()
+	afterLeave := nodes["n2"].Metrics()
+	if bad := diff(frozen, afterLeave, obs.Snapshot{}); len(bad) > 0 {
+		t.Fatalf("departed Stats disagree with Metrics: %v", bad)
+	}
+
+	// Rejoin the same id. With n2's requests cut off, nothing can happen
+	// to the new incarnation yet: its counters must all read zero.
+	net.Cut("n2", "n0")
+	g2, err := nodes["n2"].JoinWith(gid, gc, JoinSpec{Contacts: ident.NewPIDs("n0"), Retry: 10 * time.Millisecond, RetryJitter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad := diff(g2.Stats(), afterLeave, afterLeave); len(bad) > 0 {
+		t.Fatalf("rejoined incarnation does not start at zero: %v", bad)
+	}
+	net.Heal("n2", "n0")
+	waitFor("n2 rejoining at view 3", func() bool { return g2.View().ID == 3 })
+	chain(12)
+	waitFor("purges at the rejoined n2", func() bool { return g2.Stats().PurgedToDeliver > 0 })
+
+	agree("n2", g2, afterLeave)
+	agree("n0", groups["n0"], obs.Snapshot{})
+	agree("n1", groups["n1"], obs.Snapshot{})
+	if got := old.Stats(); !reflect.DeepEqual(got, frozen) {
+		t.Fatalf("departed Stats moved after the rejoin:\n got %+v\nwant %+v", got, frozen)
+	}
+	// The node's counters sum both incarnations.
+	live, now := g2.Stats(), nodes["n2"].Metrics()
+	fv, lv := reflect.ValueOf(frozen), reflect.ValueOf(live)
+	for i := 0; i < fv.NumField(); i++ {
+		f := fv.Type().Field(i)
+		if f.Type != u64 {
+			continue
+		}
+		if sum, node := fv.Field(i).Uint()+lv.Field(i).Uint(), counterOf(now, metric[f.Name]); sum != node {
+			t.Fatalf("%s: incarnations sum to %d, node counter %d", f.Name, sum, node)
+		}
+	}
+	if afterLeave, rejoined := counterOf(afterLeave, metric["PurgedToDeliver"]), purged(); afterLeave < beforeLeave || rejoined <= afterLeave {
+		t.Fatalf("engine_purged_todeliver_total went %d -> %d -> %d across leave and rejoin", beforeLeave, afterLeave, rejoined)
+	}
 }

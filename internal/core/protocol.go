@@ -94,7 +94,6 @@ func (e *Engine) advance(req *request) bool {
 // park appends a multicast to the flow-control wait queue, stamping the
 // stall start for the park-duration histogram.
 func (e *Engine) park(req *request) {
-	e.stats.MulticastParks++
 	e.m.parks.Inc()
 	if req.parkedAt.IsZero() && (e.m.parkDur != nil || e.ev != nil) {
 		req.parkedAt = e.clock.Now()
@@ -176,9 +175,7 @@ func (e *Engine) commitOne(meta obsolete.Msg, payload []byte) {
 		}
 		e.stageData(p, dm)
 	}
-	e.stats.Multicast++
 	e.m.multicast.Inc()
-	e.stats.PurgedToDeliver = e.toDeliver.Stats().Purged
 	e.serveDeliveries()
 }
 
@@ -199,7 +196,6 @@ func (e *Engine) stageData(p ident.PID, dm DataMsg) {
 	out := e.flow.pending(p)
 	it := queue.Item{Kind: queue.Data, View: uint64(dm.View), Epoch: uint64(dm.Epoch), Meta: dm.Meta, Payload: dm.Payload}
 	n := uint64(out.PurgeForN(it))
-	e.stats.PurgedOutgoing += n
 	e.m.purgedOutgoing.Add(n)
 	out.ForceAppend(it) // room guaranteed by canCommit
 }
@@ -279,7 +275,6 @@ func (e *Engine) processData(dm DataMsg) bool {
 		// Not this view — stale, or another lineage's traffic racing a
 		// partition merge. Either way its pred/flush obligations are
 		// handled by view-change machinery, not the data path.
-		e.stats.DroppedStale++
 		e.m.dropStale.Inc()
 		return true
 	}
@@ -297,7 +292,6 @@ func (e *Engine) processData(dm DataMsg) bool {
 		if dm.Meta.Seq > e.recvMax[dm.Meta.Sender] {
 			e.recvMax[dm.Meta.Sender] = dm.Meta.Seq
 		}
-		e.stats.DroppedCovered++
 		e.m.dropCovered.Inc()
 		e.flow.freed(dm.Meta.Sender, e)
 		return true
@@ -319,7 +313,6 @@ func (e *Engine) acceptData(it queue.Item) {
 	}
 	e.recvMax[it.Meta.Sender] = it.Meta.Seq
 	e.toDeliver.ForceAppend(it)
-	e.stats.PurgedToDeliver = e.toDeliver.Stats().Purged
 	e.serveDeliveries()
 	e.retryParked()
 }
@@ -343,7 +336,6 @@ func (e *Engine) retryPending() {
 			dm := *e.pendingHead
 			e.pendingHead = nil
 			if dm.View != e.cv.ID || dm.Epoch != e.cv.Epoch {
-				e.stats.DroppedStale++
 				e.m.dropStale.Inc()
 				continue
 			}
@@ -381,6 +373,7 @@ func (e *Engine) coveredLocally(m obsolete.Msg) bool {
 // engine's reusable scratch slice, so the hot path allocates nothing.
 func (e *Engine) purgeToDeliver(it queue.Item) {
 	purged := e.toDeliver.PurgeForInto(it, e.purgeScratch[:0])
+	e.m.purgedToDeliver.Add(uint64(len(purged)))
 	for i := range purged {
 		p := &purged[i]
 		if p.Meta.Sender != e.cfg.Self && p.View == uint64(e.cv.ID) && p.Epoch == uint64(e.cv.Epoch) && !e.seededAtJoin(p.Meta) {
@@ -471,7 +464,6 @@ func (e *Engine) deliverItem(it queue.Item) Delivery {
 		}
 		return Delivery{Kind: kind, View: v.ID, Epoch: v.Epoch, NewView: v}
 	default:
-		e.stats.Delivered++
 		e.m.delivered.Inc()
 		if !it.At.IsZero() {
 			e.m.deliverLatency.ObserveDuration(e.clock.Since(it.At))
@@ -586,7 +578,6 @@ func (e *Engine) onCtl(env transport.Envelope) {
 		// both sides re-arm to a full window at install, so crediting a
 		// stale grant would double-count the slots it stood for.
 		if m.View != e.cv.ID || m.Epoch != e.cv.Epoch {
-			e.stats.CreditsStaleView++
 			e.m.dropStaleCredit.Inc()
 			e.ev.Drop(obs.DropStaleCredit, slog.String("from", string(env.From)),
 				slog.Uint64("view", uint64(m.View)))
@@ -639,7 +630,6 @@ func (e *Engine) deferFuture(env transport.Envelope, ref ident.ViewRef) bool {
 		return false
 	}
 	if ref.Epoch != e.cv.Epoch && !e.blocked && !e.joining {
-		e.stats.DroppedStale++
 		e.m.dropStale.Inc()
 		e.ev.Drop(obs.DropStaleView, slog.String("from", string(env.From)),
 			slog.String("view", ref.String()))
@@ -648,7 +638,6 @@ func (e *Engine) deferFuture(env transport.Envelope, ref ident.ViewRef) bool {
 	if len(e.deferredCtl) < e.cfg.MaxDeferredCtl {
 		e.deferredCtl = append(e.deferredCtl, env)
 	} else {
-		e.stats.CtlDeferredDropped++
 		e.m.dropDefer.Inc()
 		e.ev.Drop(obs.DropDeferOverflow, slog.String("from", string(env.From)),
 			slog.Uint64("view", uint64(ref.ID)))
@@ -887,16 +876,11 @@ func (e *Engine) onDecision(dec decision) {
 // ignoreDecision counts and logs a consensus outcome the engine chose not
 // to act on — the paths the old machine silently `return`ed from.
 func (e *Engine) ignoreDecision(ref ident.ViewRef, reason string) {
-	e.stats.DecisionsIgnored++
-	if c := e.m.decisionsIgnored[reason]; c != nil {
-		c.Inc()
-	}
+	e.m.decisionsIgnored[reason].Inc()
 	e.ev.DecisionIgnored(ref.String(), reason)
 }
 
 func (e *Engine) install(val consensusValue) {
-	e.stats.ViewsInstalled++
-	e.stats.LastFlushLen = len(val.Pred)
 	e.m.viewsInstalled.Inc()
 	e.m.flushLast.Set(int64(len(val.Pred)))
 	var blockedFor time.Duration
@@ -937,15 +921,13 @@ func (e *Engine) install(val consensusValue) {
 		})
 		added++
 	}
-	e.stats.FlushAdded += uint64(added)
 	e.m.flushAdded.Add(uint64(added))
 
 	// The view marker follows the flush in the delivery queue.
 	e.toDeliver.ForceAppend(queue.Item{
 		Kind: queue.Control, View: uint64(val.Next.ID), Epoch: uint64(val.Next.Epoch), Ctl: val.Next.Clone(),
 	})
-	e.toDeliver.Purge()
-	e.stats.PurgedToDeliver = e.toDeliver.Stats().Purged
+	e.m.purgedToDeliver.Add(uint64(e.toDeliver.Purge()))
 
 	if e.merge == nil {
 		// Dynamic membership: newcomers admitted by this view get a
@@ -998,7 +980,7 @@ func (e *Engine) install(val consensusValue) {
 	// Reset per-view state.
 	e.delivered = queue.New(e.rel, 0)
 	e.cv = val.Next.Clone()
-	e.viewDirty = true
+	e.publishView()
 	e.blocked = false
 	e.proposed = false
 	e.merge = nil
@@ -1118,9 +1100,8 @@ func (e *Engine) buildJoinState(next View) StateMsg {
 
 func (e *Engine) sendJoinState(to ident.PID, st StateMsg, size int) {
 	e.send(to, transport.Ctl, st)
-	e.stats.JoinStatesSent++
-	e.stats.JoinBacklogSent += uint64(len(st.Backlog))
-	e.stats.JoinBytesSent += uint64(size)
+	e.m.joinStatesSent.Inc()
+	e.m.joinBacklogSent.Add(uint64(len(st.Backlog)))
 	e.m.joinBytesSent.Add(uint64(size))
 	e.ev.StateTransfer("sent", string(to), uint64(st.View), len(st.Backlog), size)
 }
@@ -1146,7 +1127,6 @@ func (e *Engine) onJoinState(from ident.PID, m StateMsg) {
 		e.joinTimer = nil
 	}
 	e.joining = false
-	e.stats.ViewsInstalled++
 	e.m.viewsInstalled.Inc()
 	var took time.Duration
 	if !e.joinStart.IsZero() {
@@ -1183,12 +1163,11 @@ func (e *Engine) onJoinState(from ident.PID, m StateMsg) {
 		})
 	}
 	e.cv = View{Epoch: m.Epoch, ID: m.View, Members: members}
-	e.viewDirty = true
+	e.publishView()
 	e.toDeliver.ForceAppend(queue.Item{
 		Kind: queue.Control, View: uint64(m.View), Epoch: uint64(m.Epoch), Ctl: e.cv.Clone(),
 	})
-	e.stats.JoinBacklogRecv = uint64(len(m.Backlog))
-	e.stats.JoinBytesRecv = uint64(size)
+	e.m.joinBacklogRecv.Add(uint64(len(m.Backlog)))
 	e.m.joinBytesRecv.Add(uint64(size))
 
 	e.flow.reset(e.cv.Members)

@@ -130,7 +130,6 @@ func (e *Engine) pruneStable() {
 		}
 		return true
 	})
-	e.stats.StablePruned += uint64(removed)
 	e.m.stablePruned.Add(uint64(removed))
 }
 

@@ -184,16 +184,18 @@ func (h *Heartbeat) beatLoop() {
 
 func (h *Heartbeat) recvLoop() {
 	defer h.wg.Done()
-	inbox := h.ep.Inbox(ident.NodeGroup, transport.FailureDetector)
+	inbox := h.ep.InboxBatch(ident.NodeGroup, transport.FailureDetector)
 	for {
 		select {
 		case <-h.done:
 			return
-		case env, ok := <-inbox:
+		case envs, ok := <-inbox:
 			if !ok {
 				return
 			}
-			h.alive(env.From)
+			for _, env := range envs {
+				h.alive(env.From)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/ident"
+	"repro/internal/inboxtest"
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
@@ -42,16 +43,15 @@ func TestHeartbeatDeterministicUnderFakeClock(t *testing.T) {
 	defer h.Stop()
 	clock.BlockUntil(1) // the beat ticker is created inside beatLoop
 
-	beats := epB.Inbox(ident.NodeGroup, transport.FailureDetector)
+	beats := inboxtest.New(epB.InboxBatch(ident.NodeGroup, transport.FailureDetector))
 	tick := func() time.Time {
 		clock.Advance(20 * time.Millisecond)
-		select {
-		case env := <-beats:
-			if env.From != "a" {
-				t.Fatalf("beat from %s, want a", env.From)
-			}
-		case <-time.After(5 * time.Second):
+		env, ok := beats.Next(5 * time.Second)
+		if !ok {
 			t.Fatalf("no beat after advancing to %v", clock.Now().Sub(start))
+		}
+		if env.From != "a" {
+			t.Fatalf("beat from %s, want a", env.From)
 		}
 		return clock.Now()
 	}

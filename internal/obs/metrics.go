@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -184,10 +185,18 @@ func metricKey(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name
 	}
-	ls := make([]Label, len(labels))
-	copy(ls, labels)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+	byKey := func(a, b Label) int { return strings.Compare(a.Key, b.Key) }
+	ls := labels
+	if !slices.IsSortedFunc(ls, byKey) {
+		ls = slices.Clone(labels)
+		slices.SortFunc(ls, byKey)
+	}
+	n := len(name) + 1
+	for _, l := range ls {
+		n += len(l.Key) + len(l.Value) + 2
+	}
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteString(name)
 	b.WriteByte('{')
 	for i, l := range ls {

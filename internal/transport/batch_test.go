@@ -108,46 +108,9 @@ func TestInboxBatchClosesOnEndpointClose(t *testing.T) {
 	}
 }
 
-// TestInboxModeConflictPanics pins the single-consumer discipline: an
-// inbox is consumed envelope-at-a-time or in batches, fixed by the first
-// call; mixing the two on one (group, channel) pair is a programming error
-// and must fail loudly rather than split the stream.
-func TestInboxModeConflictPanics(t *testing.T) {
-	expectPanic := func(name string, f func()) {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic, got none")
-				}
-			}()
-			f()
-		})
-	}
-	expectPanic("single-then-batch", func() {
-		net := NewMemNetwork()
-		b, err := net.Endpoint("b")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer b.Close()
-		b.Inbox(1, Data)
-		b.InboxBatch(1, Data)
-	})
-	expectPanic("batch-then-single", func() {
-		net := NewMemNetwork()
-		b, err := net.Endpoint("b")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer b.Close()
-		b.InboxBatch(1, Data)
-		b.Inbox(1, Data)
-	})
-}
-
-// TestInboxBatchMixedChannelsIndependent pins that the consumption mode is
-// per (group, channel): the same endpoint may consume Data in batches and
-// Ctl one at a time.
+// TestInboxBatchMixedChannelsIndependent pins that inboxes are per
+// (group, channel): Data and Ctl arrivals on one endpoint land in separate
+// batch streams, each readable on its own.
 func TestInboxBatchMixedChannelsIndependent(t *testing.T) {
 	net := NewMemNetwork()
 	a, err := net.Endpoint("a")
@@ -162,7 +125,7 @@ func TestInboxBatchMixedChannelsIndependent(t *testing.T) {
 	defer b.Close()
 	b.Register(1)
 	dataIn := b.InboxBatch(1, Data)
-	ctlIn := b.Inbox(1, Ctl)
+	ctlIn := b.InboxBatch(1, Ctl)
 
 	if err := a.Send("b", 1, Data, "d"); err != nil {
 		t.Fatal(err)
@@ -173,7 +136,7 @@ func TestInboxBatchMixedChannelsIndependent(t *testing.T) {
 	if batch := <-dataIn; len(batch) == 0 || batch[0].Msg != "d" {
 		t.Fatalf("data batch = %v", batch)
 	}
-	if env := <-ctlIn; env.Msg != "c" {
-		t.Fatalf("ctl envelope = %v", env)
+	if batch := <-ctlIn; len(batch) == 0 || batch[0].Msg != "c" {
+		t.Fatalf("ctl batch = %v", batch)
 	}
 }

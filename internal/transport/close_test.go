@@ -19,7 +19,7 @@ import (
 
 func TestUBQConcurrentClose(t *testing.T) {
 	q := newUBQ()
-	q.push(Envelope{From: "x"})
+	q.push([]Envelope{{From: "x"}})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -29,17 +29,17 @@ func TestUBQConcurrentClose(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// Every close call returned only after the pump exited: the out
+	// Every close call returned only after the pump exited: the outB
 	// channel must already be closed.
 	select {
-	case _, ok := <-q.out:
+	case _, ok := <-q.outB:
 		if ok {
 			t.Fatal("envelope emitted after close returned")
 		}
 	default:
 		t.Fatal("out channel not closed after close returned")
 	}
-	q.push(Envelope{From: "y"}) // must be a no-op, not a panic
+	q.push([]Envelope{{From: "y"}}) // must be a no-op, not a panic
 }
 
 func TestMemEndpointDoubleClose(t *testing.T) {
@@ -78,7 +78,7 @@ func TestMemEndpointNoDeliveryAfterClose(t *testing.T) {
 	}
 	defer snd.Close()
 
-	in := rcv.Inbox(ident.NodeGroup, Data)
+	in := rcv.InboxBatch(ident.NodeGroup, Data)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -141,7 +141,7 @@ func TestTCPNetworkConcurrentClose(t *testing.T) {
 // inboxes are silent after Close returns.
 func TestTCPNetworkSendDuringClose(t *testing.T) {
 	a, b := tcpPair(t)
-	in := a.Inbox(ident.NodeGroup, Data)
+	in := a.InboxBatch(ident.NodeGroup, Data)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -325,7 +325,7 @@ func TestSendRejectsOversizedMessage(t *testing.T) {
 	if err := a.Send("b", ident.NodeGroup, Data, tcpPayload{N: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if env := recvOne(t, b.Inbox(ident.NodeGroup, Data)); env.Msg.(tcpPayload).N != 5 {
+	if env := recvOne(t, reader(b, ident.NodeGroup, Data)); env.Msg.(tcpPayload).N != 5 {
 		t.Fatalf("got %+v", env)
 	}
 }
@@ -376,7 +376,7 @@ func TestReadLoopDropsBogusChannel(t *testing.T) {
 	}
 
 	// The valid envelope still arrives — the connection survived.
-	if env := recvOne(t, a.Inbox(ident.NodeGroup, Data)); env.Msg.(tcpPayload).N != 2 {
+	if env := recvOne(t, reader(a, ident.NodeGroup, Data)); env.Msg.(tcpPayload).N != 2 {
 		t.Fatalf("got %+v", env)
 	}
 	if st := a.Stats(); st.Drops.DroppedUnknownChannel != 1 {
@@ -430,7 +430,7 @@ func TestReadLoopDropsOversizedGroupID(t *testing.T) {
 
 	// Only the valid envelope arrives; the oversized id was counted as
 	// an unknown group, not aliased into group 1.
-	if env := recvOne(t, a.Inbox(1, Data)); env.Msg.(tcpPayload).N != 2 {
+	if env := recvOne(t, reader(a, 1, Data)); env.Msg.(tcpPayload).N != 2 {
 		t.Fatalf("got %+v, want the group-1 envelope", env)
 	}
 	if st := a.Stats(); st.Drops.DroppedUnknownGroup != 1 {

@@ -308,11 +308,6 @@ var _ Endpoint = (*FaultEndpoint)(nil)
 // Self implements Endpoint.
 func (e *FaultEndpoint) Self() ident.PID { return e.self }
 
-// Inbox implements Endpoint.
-func (e *FaultEndpoint) Inbox(g ident.GroupID, ch Channel) <-chan Envelope {
-	return e.under.Inbox(g, ch)
-}
-
 // InboxBatch implements Endpoint.
 func (e *FaultEndpoint) InboxBatch(g ident.GroupID, ch Channel) <-chan []Envelope {
 	return e.under.InboxBatch(g, ch)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/ident"
+	"repro/internal/inboxtest"
 	"repro/internal/obs"
 )
 
@@ -29,12 +30,10 @@ func faultPair(t *testing.T, f *Faults) (*FaultEndpoint, *FaultEndpoint) {
 	return fa, fb
 }
 
-func expectNone(t *testing.T, in <-chan Envelope, d time.Duration) {
+func expectNone(t *testing.T, in *inboxtest.Reader[Envelope], d time.Duration) {
 	t.Helper()
-	select {
-	case e := <-in:
+	if e, ok := in.Next(d); ok {
 		t.Fatalf("unexpected envelope %+v", e)
-	case <-time.After(d):
 	}
 }
 
@@ -49,14 +48,14 @@ func TestFaultsPartitionAndHeal(t *testing.T) {
 	if err := fb.Send("a", ident.NodeGroup, Data, "lost-ba"); err != nil {
 		t.Fatal(err)
 	}
-	expectNone(t, fb.Inbox(ident.NodeGroup, Data), 50*time.Millisecond)
-	expectNone(t, fa.Inbox(ident.NodeGroup, Data), 50*time.Millisecond)
+	expectNone(t, reader(fb, ident.NodeGroup, Data), 50*time.Millisecond)
+	expectNone(t, reader(fa, ident.NodeGroup, Data), 50*time.Millisecond)
 
 	f.Heal()
 	if err := fa.Send("b", ident.NodeGroup, Data, "after-heal"); err != nil {
 		t.Fatal(err)
 	}
-	if env := recvOne(t, fb.Inbox(ident.NodeGroup, Data)); env.Msg != "after-heal" {
+	if env := recvOne(t, reader(fb, ident.NodeGroup, Data)); env.Msg != "after-heal" {
 		t.Fatalf("got %+v", env)
 	}
 
@@ -78,10 +77,10 @@ func TestFaultsPartitionOneWayIsAsymmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	// b→a still flows; a→b is cut.
-	if env := recvOne(t, fa.Inbox(ident.NodeGroup, Data)); env.Msg != "open" {
+	if env := recvOne(t, reader(fa, ident.NodeGroup, Data)); env.Msg != "open" {
 		t.Fatalf("got %+v", env)
 	}
-	expectNone(t, fb.Inbox(ident.NodeGroup, Data), 50*time.Millisecond)
+	expectNone(t, reader(fb, ident.NodeGroup, Data), 50*time.Millisecond)
 }
 
 func TestFaultsDropAllAndRemove(t *testing.T) {
@@ -94,7 +93,7 @@ func TestFaultsDropAllAndRemove(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	expectNone(t, fb.Inbox(ident.NodeGroup, Data), 50*time.Millisecond)
+	expectNone(t, reader(fb, ident.NodeGroup, Data), 50*time.Millisecond)
 	if st := f.Stats(); st.Dropped != 10 {
 		t.Fatalf("Dropped = %d, want 10", st.Dropped)
 	}
@@ -103,7 +102,7 @@ func TestFaultsDropAllAndRemove(t *testing.T) {
 	if err := fa.Send("b", ident.NodeGroup, Data, "through"); err != nil {
 		t.Fatal(err)
 	}
-	if env := recvOne(t, fb.Inbox(ident.NodeGroup, Data)); env.Msg != "through" {
+	if env := recvOne(t, reader(fb, ident.NodeGroup, Data)); env.Msg != "through" {
 		t.Fatalf("got %+v", env)
 	}
 }
@@ -116,7 +115,7 @@ func TestFaultsDuplicate(t *testing.T) {
 	if err := fa.Send("b", ident.NodeGroup, Data, "twin"); err != nil {
 		t.Fatal(err)
 	}
-	in := fb.Inbox(ident.NodeGroup, Data)
+	in := reader(fb, ident.NodeGroup, Data)
 	for i := 0; i < 2; i++ {
 		if env := recvOne(t, in); env.Msg != "twin" {
 			t.Fatalf("copy %d: got %+v", i, env)
@@ -141,10 +140,10 @@ func TestFaultsDelayDeterministicUnderFakeClock(t *testing.T) {
 	}
 	// The delay-link goroutine registers its timer with the fake clock.
 	clock.BlockUntil(1)
-	expectNone(t, fb.Inbox(ident.NodeGroup, Data), 30*time.Millisecond)
+	expectNone(t, reader(fb, ident.NodeGroup, Data), 30*time.Millisecond)
 
 	clock.Advance(100 * time.Millisecond)
-	if env := recvOne(t, fb.Inbox(ident.NodeGroup, Data)); env.Msg != "slow" {
+	if env := recvOne(t, reader(fb, ident.NodeGroup, Data)); env.Msg != "slow" {
 		t.Fatalf("got %+v", env)
 	}
 	if st := f.Stats(); st.Delayed != 1 {
@@ -171,7 +170,7 @@ func TestFaultsDelayRemovalKeepsFIFO(t *testing.T) {
 	}
 	clock.Advance(200 * time.Millisecond)
 
-	in := fb.Inbox(ident.NodeGroup, Data)
+	in := reader(fb, ident.NodeGroup, Data)
 	if env := recvOne(t, in); env.Msg != "first" {
 		t.Fatalf("reordered: got %+v first", env)
 	}
@@ -244,13 +243,13 @@ func TestFaultsOverTCP(t *testing.T) {
 	if err := fa.Send("b", ident.NodeGroup, Data, tcpPayload{N: 1}); err != nil {
 		t.Fatal(err)
 	}
-	expectNone(t, b.Inbox(ident.NodeGroup, Data), 50*time.Millisecond)
+	expectNone(t, reader(b, ident.NodeGroup, Data), 50*time.Millisecond)
 
 	f.Heal()
 	if err := fa.Send("b", ident.NodeGroup, Data, tcpPayload{N: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if env := recvOne(t, b.Inbox(ident.NodeGroup, Data)); env.Msg.(tcpPayload).N != 2 {
+	if env := recvOne(t, reader(b, ident.NodeGroup, Data)); env.Msg.(tcpPayload).N != 2 {
 		t.Fatalf("got %+v", env)
 	}
 }

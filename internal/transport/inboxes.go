@@ -93,81 +93,31 @@ func (s *inboxSet) deregister(g ident.GroupID) {
 
 // inbox returns the receive channel for (g, ch), registering it lazily;
 // after close it returns an already-closed channel.
-func (s *inboxSet) inbox(g ident.GroupID, ch Channel) <-chan Envelope {
-	q := s.lookup(g, ch)
-	if q == nil {
-		dead := make(chan Envelope)
-		close(dead)
-		return dead
-	}
-	return q.single()
-}
-
-// inboxBatch is the batch-mode counterpart of inbox.
-func (s *inboxSet) inboxBatch(g ident.GroupID, ch Channel) <-chan []Envelope {
-	q := s.lookup(g, ch)
-	if q == nil {
-		dead := make(chan []Envelope)
-		close(dead)
-		return dead
-	}
-	return q.batch()
-}
-
-// lookup returns the inbox for (g, ch), registering it lazily; nil after
-// close.
-func (s *inboxSet) lookup(g ident.GroupID, ch Channel) *ubq {
+func (s *inboxSet) inbox(g ident.GroupID, ch Channel) <-chan []Envelope {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	key := groupChan{g, ch}
 	q, ok := s.m[key]
 	if !ok {
 		if s.closed {
-			return nil
+			dead := make(chan []Envelope)
+			close(dead)
+			return dead
 		}
 		q = newUBQ()
 		s.m[key] = q
 	}
-	return q
+	return q.batch()
 }
 
-// deposit places env in the inbox for (g, ch), or drops and counts it
-// when that inbox was never registered — traffic for a group this node
-// does not host (or no longer hosts), or a channel outside the defined
-// range.
-func (s *inboxSet) deposit(g ident.GroupID, ch Channel, env Envelope) {
-	s.mu.Lock()
-	q, ok := s.m[groupChan{g, ch}]
-	closed := s.closed
-	var c *obs.Counter
-	if !ok {
-		if validChannel(ch) {
-			c = s.dropGroupC
-		} else {
-			c = s.dropChannelC
-		}
-	}
-	s.mu.Unlock()
-	if !ok {
-		if validChannel(ch) {
-			s.dropGroup.Add(1)
-		} else {
-			s.dropChannel.Add(1)
-		}
-		c.Inc()
-		return
-	}
-	if !closed {
-		q.push(env)
-	}
-}
-
-// depositBatch places a run of envelopes for one (g, ch) in its inbox
-// under a single registry lookup and a single inbox lock acquisition —
-// the receive-side mirror of the send path's frame coalescing. The slice
+// deposit places a run of envelopes for one (g, ch) in its inbox under a
+// single registry lookup and a single inbox lock acquisition — the
+// receive-side mirror of the send path's frame coalescing. The slice
 // contents are copied; the caller may reuse envs immediately. When the
-// inbox was never registered the whole run is dropped and counted.
-func (s *inboxSet) depositBatch(g ident.GroupID, ch Channel, envs []Envelope) {
+// inbox was never registered — traffic for a group this node does not
+// host (or no longer hosts), or a channel outside the defined range — the
+// whole run is dropped and counted.
+func (s *inboxSet) deposit(g ident.GroupID, ch Channel, envs ...Envelope) {
 	if len(envs) == 0 {
 		return
 	}
@@ -193,7 +143,7 @@ func (s *inboxSet) depositBatch(g ident.GroupID, ch Channel, envs []Envelope) {
 		return
 	}
 	if !closed {
-		q.pushAll(envs)
+		q.push(envs)
 	}
 }
 

@@ -91,7 +91,7 @@ func (n *MemNetwork) Crash(p ident.PID) {
 
 // Endpoint attaches process p to the network. The reserved ident.NodeGroup
 // is registered immediately; application groups are registered by
-// Register or lazily by Inbox.
+// Register or lazily by InboxBatch.
 func (n *MemNetwork) Endpoint(p ident.PID) (*MemEndpoint, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -145,14 +145,9 @@ func (e *MemEndpoint) Register(g ident.GroupID) { e.boxes.register(g) }
 // Subsequent traffic for g is dropped and counted.
 func (e *MemEndpoint) Deregister(g ident.GroupID) { e.boxes.deregister(g) }
 
-// Inbox implements Endpoint.
-func (e *MemEndpoint) Inbox(g ident.GroupID, ch Channel) <-chan Envelope {
-	return e.boxes.inbox(g, ch)
-}
-
 // InboxBatch implements Endpoint.
 func (e *MemEndpoint) InboxBatch(g ident.GroupID, ch Channel) <-chan []Envelope {
-	return e.boxes.inboxBatch(g, ch)
+	return e.boxes.inbox(g, ch)
 }
 
 // Send implements Endpoint.

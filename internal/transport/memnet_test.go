@@ -6,21 +6,25 @@ import (
 	"time"
 
 	"repro/internal/ident"
+	"repro/internal/inboxtest"
 	"repro/internal/obs"
 )
 
-func recvOne(t *testing.T, in <-chan Envelope) Envelope {
+// reader consumes ep's (g, ch) inbox one envelope at a time.
+func reader(ep Endpoint, g ident.GroupID, ch Channel) *inboxtest.Reader[Envelope] {
+	return inboxtest.New(ep.InboxBatch(g, ch))
+}
+
+func recvOne(t *testing.T, in *inboxtest.Reader[Envelope]) Envelope {
 	t.Helper()
-	select {
-	case e, ok := <-in:
-		if !ok {
-			t.Fatal("inbox closed")
-		}
-		return e
-	case <-time.After(2 * time.Second):
-		t.Fatal("timed out waiting for envelope")
-		return Envelope{}
+	e, ok := in.Next(2 * time.Second)
+	if !ok && in.Closed() {
+		t.Fatal("inbox closed")
 	}
+	if !ok {
+		t.Fatal("timed out waiting for envelope")
+	}
+	return e
 }
 
 func TestMemNetworkBasicSendRecv(t *testing.T) {
@@ -39,7 +43,7 @@ func TestMemNetworkBasicSendRecv(t *testing.T) {
 	if err := a.Send("b", ident.NodeGroup, Data, "hello"); err != nil {
 		t.Fatal(err)
 	}
-	env := recvOne(t, b.Inbox(ident.NodeGroup, Data))
+	env := recvOne(t, reader(b, ident.NodeGroup, Data))
 	if env.From != "a" || env.Msg != "hello" {
 		t.Fatalf("got %+v", env)
 	}
@@ -58,7 +62,7 @@ func TestMemNetworkFIFOPerSender(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	in := b.Inbox(ident.NodeGroup, Data)
+	in := reader(b, ident.NodeGroup, Data)
 	for i := 0; i < count; i++ {
 		env := recvOne(t, in)
 		if env.Msg != i {
@@ -80,10 +84,10 @@ func TestMemNetworkChannelsAreIsolated(t *testing.T) {
 	if err := a.Send("b", ident.NodeGroup, Data, "data"); err != nil {
 		t.Fatal(err)
 	}
-	if env := recvOne(t, b.Inbox(ident.NodeGroup, Data)); env.Msg != "data" {
+	if env := recvOne(t, reader(b, ident.NodeGroup, Data)); env.Msg != "data" {
 		t.Fatalf("data channel got %v", env.Msg)
 	}
-	if env := recvOne(t, b.Inbox(ident.NodeGroup, Ctl)); env.Msg != "ctl" {
+	if env := recvOne(t, reader(b, ident.NodeGroup, Ctl)); env.Msg != "ctl" {
 		t.Fatalf("ctl channel got %v", env.Msg)
 	}
 }
@@ -110,7 +114,7 @@ func TestMemNetworkGroupDemux(t *testing.T) {
 		}
 	}
 	for _, g := range groups {
-		in := b.Inbox(g, Data)
+		in := reader(b, g, Data)
 		for i := 0; i < perGroup; i++ {
 			env := recvOne(t, in)
 			if env.Group != g || env.Msg != int(g)*1000+i {
@@ -144,7 +148,7 @@ func TestMemNetworkDropsUnknownGroupAndChannel(t *testing.T) {
 	// Deregistering a live group closes its inboxes and drops what
 	// arrives afterwards.
 	b.Register(3)
-	in := b.Inbox(3, Data)
+	in := b.InboxBatch(3, Data)
 	b.Deregister(3)
 	if _, ok := <-in; ok {
 		t.Fatal("inbox not closed by Deregister")
@@ -165,7 +169,7 @@ func TestMemNetworkSelfSend(t *testing.T) {
 	if err := a.Send("a", ident.NodeGroup, Ctl, 42); err != nil {
 		t.Fatal(err)
 	}
-	if env := recvOne(t, a.Inbox(ident.NodeGroup, Ctl)); env.Msg != 42 || env.From != "a" {
+	if env := recvOne(t, reader(a, ident.NodeGroup, Ctl)); env.Msg != 42 || env.From != "a" {
 		t.Fatalf("got %+v", env)
 	}
 }
@@ -205,7 +209,7 @@ func TestMemNetworkCrashDropsTraffic(t *testing.T) {
 	b, _ := n.Endpoint("b")
 	defer a.Close()
 
-	inbox := b.Inbox(ident.NodeGroup, Data)
+	inbox := b.InboxBatch(ident.NodeGroup, Data)
 	n.Crash("b")
 	if err := a.Send("b", ident.NodeGroup, Data, 1); !errors.Is(err, ErrUnknownPeer) {
 		t.Fatalf("send to crashed peer: err = %v, want ErrUnknownPeer", err)
@@ -235,7 +239,7 @@ func TestMemNetworkCutAndHeal(t *testing.T) {
 	if err := b.Send("a", ident.NodeGroup, Data, "back"); err != nil {
 		t.Fatal(err)
 	}
-	if env := recvOne(t, a.Inbox(ident.NodeGroup, Data)); env.Msg != "back" {
+	if env := recvOne(t, reader(a, ident.NodeGroup, Data)); env.Msg != "back" {
 		t.Fatalf("got %v", env.Msg)
 	}
 
@@ -243,7 +247,7 @@ func TestMemNetworkCutAndHeal(t *testing.T) {
 	if err := a.Send("b", ident.NodeGroup, Data, "again"); err != nil {
 		t.Fatal(err)
 	}
-	if env := recvOne(t, b.Inbox(ident.NodeGroup, Data)); env.Msg != "again" {
+	if env := recvOne(t, reader(b, ident.NodeGroup, Data)); env.Msg != "again" {
 		t.Fatalf("after heal got %v", env.Msg)
 	}
 }
@@ -263,7 +267,7 @@ func TestMemNetworkDelayPreservesFIFO(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	in := b.Inbox(ident.NodeGroup, Data)
+	in := reader(b, ident.NodeGroup, Data)
 	for i := 0; i < count; i++ {
 		env := recvOne(t, in)
 		if env.Msg != i {
@@ -285,7 +289,7 @@ func TestMemNetworkDelayOnFakeClockIsDeterministic(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 
-	in := b.Inbox(ident.NodeGroup, Data)
+	in := reader(b, ident.NodeGroup, Data)
 	if err := a.Send("b", ident.NodeGroup, Data, "first"); err != nil {
 		t.Fatal(err)
 	}
@@ -296,10 +300,8 @@ func TestMemNetworkDelayOnFakeClockIsDeterministic(t *testing.T) {
 	// Rendezvous with the paced-link goroutine: its timer for "first" is
 	// registered, but the frozen clock must be holding the message back.
 	fake.BlockUntil(1)
-	select {
-	case env := <-in:
+	if env, ok := in.Next(0); ok {
 		t.Fatalf("delivered %v with a frozen clock", env.Msg)
-	default:
 	}
 
 	fake.Advance(50 * time.Millisecond)
@@ -310,10 +312,8 @@ func TestMemNetworkDelayOnFakeClockIsDeterministic(t *testing.T) {
 	// The link serialises: "second" only starts its delay after "first"
 	// delivers, and stays queued until the clock moves again.
 	fake.BlockUntil(1)
-	select {
-	case env := <-in:
+	if env, ok := in.Next(0); ok {
 		t.Fatalf("second message delivered without an advance: %v", env.Msg)
-	default:
 	}
 	fake.Advance(50 * time.Millisecond)
 	if env := recvOne(t, in); env.Msg != "second" {
@@ -324,7 +324,7 @@ func TestMemNetworkDelayOnFakeClockIsDeterministic(t *testing.T) {
 func TestMemNetworkCloseUnblocksInbox(t *testing.T) {
 	n := NewMemNetwork()
 	a, _ := n.Endpoint("a")
-	in := a.Inbox(ident.NodeGroup, Data)
+	in := a.InboxBatch(ident.NodeGroup, Data)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -72,7 +72,7 @@ func TestTCPWireMetrics(t *testing.T) {
 
 	const g = ident.GroupID(3)
 	b.Register(g)
-	inbox := b.Inbox(g, Data)
+	inbox := reader(b, g, Data)
 
 	const msgs = 5
 	for i := 0; i < msgs; i++ {
@@ -81,7 +81,7 @@ func TestTCPWireMetrics(t *testing.T) {
 		}
 	}
 	for i := 0; i < msgs; i++ {
-		<-inbox
+		recvOne(t, inbox)
 	}
 
 	waitCounter(t, regA, "tcp_envelopes_sent_total", msgs)

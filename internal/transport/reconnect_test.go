@@ -27,7 +27,7 @@ func TestTCPNetworkReconnectAfterRestart(t *testing.T) {
 	a.AddPeer("b", addr)
 
 	// Stream until b1 has demonstrably received traffic.
-	in1 := b1.Inbox(ident.NodeGroup, Data)
+	in1 := reader(b1, ident.NodeGroup, Data)
 	seq := 0
 	send := func() {
 		seq++
@@ -58,15 +58,11 @@ func TestTCPNetworkReconnectAfterRestart(t *testing.T) {
 
 	// Keep sending: the first write on the dead connection fails, the
 	// sender drops it, and the next Send dials the restarted listener.
-	in2 := b2.Inbox(ident.NodeGroup, Data)
+	in2 := reader(b2, ident.NodeGroup, Data)
 	resumeDeadline := time.Now().Add(5 * time.Second)
 	for {
 		send()
-		select {
-		case env, ok := <-in2:
-			if !ok {
-				t.Fatal("restarted inbox closed")
-			}
+		if env, ok := in2.Next(20 * time.Millisecond); ok {
 			got := env.Msg.(tcpPayload).N
 			if got <= 1 {
 				t.Fatalf("stale message %d after restart", got)
@@ -76,7 +72,9 @@ func TestTCPNetworkReconnectAfterRestart(t *testing.T) {
 				t.Fatalf("sender has %d live conns, want 1", c)
 			}
 			return
-		case <-time.After(20 * time.Millisecond):
+		}
+		if in2.Closed() {
+			t.Fatal("restarted inbox closed")
 		}
 		if time.Now().After(resumeDeadline) {
 			t.Fatal("delivery did not resume after restart")
@@ -115,20 +113,17 @@ func TestTCPNetworkRestartedPeerFIFO(t *testing.T) {
 	defer b2.Close()
 
 	// Wait for a working connection, then verify a burst stays ordered.
-	in := b2.Inbox(ident.NodeGroup, Data)
+	in := reader(b2, ident.NodeGroup, Data)
 	sync := 0
 	for {
 		sync++
 		_ = a.Send("b", ident.NodeGroup, Data, tcpPayload{N: 0, S: "sync"})
-		select {
-		case <-in:
-		case <-time.After(20 * time.Millisecond):
-			if sync > 250 {
-				t.Fatal("no connection to restarted peer")
-			}
-			continue
+		if _, ok := in.Next(20 * time.Millisecond); ok {
+			break
 		}
-		break
+		if sync > 250 {
+			t.Fatal("no connection to restarted peer")
+		}
 	}
 	const count = 100
 	for i := 1; i <= count; i++ {
@@ -137,20 +132,19 @@ func TestTCPNetworkRestartedPeerFIFO(t *testing.T) {
 		}
 	}
 	want := 1
-	drain := time.After(5 * time.Second)
+	drain := time.Now().Add(5 * time.Second)
 	for want <= count {
-		select {
-		case env := <-in:
-			p := env.Msg.(tcpPayload)
-			if p.S == "sync" {
-				continue // stragglers from the handshake loop
-			}
-			if p.N != want {
-				t.Fatal(fmt.Sprintf("out of order: got %d want %d", p.N, want))
-			}
-			want++
-		case <-drain:
+		env, ok := in.Next(time.Until(drain))
+		if !ok {
 			t.Fatalf("stalled at %d/%d", want-1, count)
 		}
+		p := env.Msg.(tcpPayload)
+		if p.S == "sync" {
+			continue // stragglers from the handshake loop
+		}
+		if p.N != want {
+			t.Fatal(fmt.Sprintf("out of order: got %d want %d", p.N, want))
+		}
+		want++
 	}
 }

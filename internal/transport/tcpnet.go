@@ -274,14 +274,9 @@ func (n *TCPNetwork) Register(g ident.GroupID) { n.boxes.register(g) }
 // Subsequent traffic for g is dropped and counted.
 func (n *TCPNetwork) Deregister(g ident.GroupID) { n.boxes.deregister(g) }
 
-// Inbox implements Endpoint.
-func (n *TCPNetwork) Inbox(g ident.GroupID, ch Channel) <-chan Envelope {
-	return n.boxes.inbox(g, ch)
-}
-
 // InboxBatch implements Endpoint.
 func (n *TCPNetwork) InboxBatch(g ident.GroupID, ch Channel) <-chan []Envelope {
-	return n.boxes.inboxBatch(g, ch)
+	return n.boxes.inbox(g, ch)
 }
 
 // Send implements Endpoint. A successful Send means the envelope is
@@ -486,13 +481,13 @@ func (n *TCPNetwork) readLoop(conn net.Conn) {
 	// run accumulates consecutive envelopes of one (group, channel) so a
 	// whole frame reaches the inbox demux in a few batched deposits — the
 	// receive-side mirror of the writer's coalescing. The buffer is reused
-	// across frames; depositBatch copies, so nothing here escapes.
+	// across frames; deposit copies, so nothing here escapes.
 	var run []Envelope
 	var runG ident.GroupID
 	var runCh Channel
 	flushRun := func() {
 		if len(run) > 0 {
-			n.boxes.depositBatch(runG, runCh, run)
+			n.boxes.deposit(runG, runCh, run...)
 			run = run[:0]
 		}
 	}

@@ -58,7 +58,7 @@ func TestTCPNetworkSendRecv(t *testing.T) {
 	if err := a.Send("b", ident.NodeGroup, Data, tcpPayload{N: 7, S: "hi"}); err != nil {
 		t.Fatal(err)
 	}
-	env := recvOne(t, b.Inbox(ident.NodeGroup, Data))
+	env := recvOne(t, reader(b, ident.NodeGroup, Data))
 	p, ok := env.Msg.(tcpPayload)
 	if !ok || p.N != 7 || p.S != "hi" || env.From != "a" || env.Group != ident.NodeGroup {
 		t.Fatalf("got %+v", env)
@@ -73,10 +73,10 @@ func TestTCPNetworkBidirectional(t *testing.T) {
 	if err := b.Send("a", ident.NodeGroup, Ctl, tcpPayload{N: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if env := recvOne(t, b.Inbox(ident.NodeGroup, Ctl)); env.Msg.(tcpPayload).N != 1 {
+	if env := recvOne(t, reader(b, ident.NodeGroup, Ctl)); env.Msg.(tcpPayload).N != 1 {
 		t.Fatalf("b got %+v", env)
 	}
-	if env := recvOne(t, a.Inbox(ident.NodeGroup, Ctl)); env.Msg.(tcpPayload).N != 2 {
+	if env := recvOne(t, reader(a, ident.NodeGroup, Ctl)); env.Msg.(tcpPayload).N != 2 {
 		t.Fatalf("a got %+v", env)
 	}
 }
@@ -89,7 +89,7 @@ func TestTCPNetworkFIFO(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	in := b.Inbox(ident.NodeGroup, Data)
+	in := reader(b, ident.NodeGroup, Data)
 	for i := 0; i < count; i++ {
 		env := recvOne(t, in)
 		if env.Msg.(tcpPayload).N != i {
@@ -116,7 +116,7 @@ func TestTCPNetworkGroupDemux(t *testing.T) {
 		}
 	}
 	for _, g := range groups {
-		in := b.Inbox(g, Data)
+		in := reader(b, g, Data)
 		for i := 0; i < perGroup; i++ {
 			env := recvOne(t, in)
 			if env.Group != g || env.Msg.(tcpPayload).N != int(g)*1000+i {
@@ -141,7 +141,7 @@ func TestTCPNetworkDropsUnknownGroup(t *testing.T) {
 	if err := a.Send("b", ident.NodeGroup, Data, tcpPayload{N: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if env := recvOne(t, b.Inbox(ident.NodeGroup, Data)); env.Msg.(tcpPayload).N != 2 {
+	if env := recvOne(t, reader(b, ident.NodeGroup, Data)); env.Msg.(tcpPayload).N != 2 {
 		t.Fatalf("got %+v", env)
 	}
 	if st := b.Stats(); st.Drops.DroppedUnknownGroup != 1 || st.Drops.DroppedUnknownChannel != 0 {
@@ -157,10 +157,10 @@ func TestTCPNetworkDropsDeregisteredGroup(t *testing.T) {
 	if err := a.Send("b", 3, Data, tcpPayload{N: 1}); err != nil {
 		t.Fatal(err)
 	}
-	in := b.Inbox(3, Data)
+	in := reader(b, 3, Data)
 	recvOne(t, in)
 	b.Deregister(3)
-	if _, ok := <-in; ok {
+	if _, ok := in.Next(2 * time.Second); ok || !in.Closed() {
 		t.Fatal("inbox not closed by Deregister")
 	}
 	if err := a.Send("b", 3, Data, tcpPayload{N: 2}); err != nil {
@@ -187,7 +187,7 @@ func TestTCPNetworkSelfSend(t *testing.T) {
 	if err := a.Send("a", ident.NodeGroup, Data, tcpPayload{N: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if env := recvOne(t, a.Inbox(ident.NodeGroup, Data)); env.Msg.(tcpPayload).N != 9 {
+	if env := recvOne(t, reader(a, ident.NodeGroup, Data)); env.Msg.(tcpPayload).N != 9 {
 		t.Fatalf("got %+v", env)
 	}
 }
@@ -225,7 +225,7 @@ func TestTCPNetworkStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	in := b.Inbox(ident.NodeGroup, Data)
+	in := reader(b, ident.NodeGroup, Data)
 	for i := 0; i < count; i++ {
 		recvOne(t, in)
 	}
@@ -248,7 +248,7 @@ func TestTCPNetworkCloseUnblocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := a.Inbox(ident.NodeGroup, Data)
+	in := a.InboxBatch(ident.NodeGroup, Data)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -97,20 +97,16 @@ var ErrUnknownPeer = errors.New("transport: unknown peer")
 // within each (group, channel) provided the sender calls Send from one
 // goroutine, which the protocol engine does.
 //
-// Inbox returns the receive channel for (g, ch), registering it if
+// InboxBatch returns the receive channel for (g, ch), registering it if
 // needed; it is closed when the endpoint closes or the group is
-// deregistered. An envelope arriving for a (group, channel) pair that was
-// never registered is dropped and counted, not deposited: registration is
-// how an endpoint knows which groups this node hosts.
-//
-// InboxBatch is the amortised form of Inbox: one receive yields every
-// envelope pending for (g, ch) at that moment (bounded per receive),
-// preserving FIFO order. The yielded slice is owned by the transport and
-// is valid only until the consumer's next receive from the same channel —
-// a consumer keeping an envelope (or its payload) past that point must
-// copy it. An inbox is consumed either via Inbox or via InboxBatch, fixed
-// by whichever is called first for that (g, ch); mixing the two on one
-// inbox panics.
+// deregistered. One receive yields every envelope pending for (g, ch) at
+// that moment (bounded per receive), in FIFO order. The yielded slice is
+// owned by the transport and is valid only until the consumer's next
+// receive from the same channel — a consumer keeping an envelope (or its
+// payload) past that point must copy it. Each inbox has one consumer. An
+// envelope arriving for a (group, channel) pair that was never registered
+// is dropped and counted, not deposited: registration is how an endpoint
+// knows which groups this node hosts.
 //
 // Register creates the inboxes of every defined channel of group g ahead
 // of traffic (idempotent); Deregister removes and closes them, so stray
@@ -120,7 +116,6 @@ var ErrUnknownPeer = errors.New("transport: unknown peer")
 type Endpoint interface {
 	Self() ident.PID
 	Send(to ident.PID, g ident.GroupID, ch Channel, m any) error
-	Inbox(g ident.GroupID, ch Channel) <-chan Envelope
 	InboxBatch(g ident.GroupID, ch Channel) <-chan []Envelope
 	Register(g ident.GroupID)
 	Deregister(g ident.GroupID)

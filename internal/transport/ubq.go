@@ -7,33 +7,23 @@ import "sync"
 // still amortising the channel operation over a large run.
 const ubqBatchCap = 1024
 
-// ubq consumption modes. An inbox is consumed either envelope-at-a-time
-// (Inbox) or batch-at-a-time (InboxBatch); the first consumer call fixes
-// the mode for the inbox's lifetime. Mixing the two on one inbox would
-// make delivery order between the channels undefined, so it panics.
-const (
-	ubqUnset = iota
-	ubqSingle
-	ubqBatch
-)
-
 // ubq is an unbounded FIFO queue of envelopes pumped into a Go channel.
 // Pushes never block; the paper's model places all bounded buffering (and
 // hence flow control) in the protocol layer, so the transport must never
 // exert backpressure of its own.
 //
-// The pump emits either single envelopes (out) or batches (outB) depending
-// on which consumer accessor was called first. Batches are double-buffered:
-// the pump alternates between two reusable slices, so a batch stays valid
-// exactly until the consumer's next receive from the same channel.
+// The pump emits batches on outB, starting once the consumer has claimed
+// the channel (batch), so everything deposited before then arrives as one
+// batch. Batches are double-buffered: the pump alternates between two
+// reusable slices, so a batch stays valid exactly until the consumer's
+// next receive from the channel.
 type ubq struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []Envelope
-	closed bool
-	mode   int
+	mu      sync.Mutex
+	cond    *sync.Cond
+	items   []Envelope
+	closed  bool
+	claimed bool
 
-	out  chan Envelope
 	outB chan []Envelope
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -41,7 +31,6 @@ type ubq struct {
 
 func newUBQ() *ubq {
 	q := &ubq{
-		out:  make(chan Envelope),
 		outB: make(chan []Envelope),
 		done: make(chan struct{}),
 	}
@@ -51,23 +40,10 @@ func newUBQ() *ubq {
 	return q
 }
 
-// push enqueues e; it is a no-op after close.
-func (q *ubq) push(e Envelope) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return
-	}
-	q.items = append(q.items, e)
-	q.cond.Signal()
-}
-
-// pushAll enqueues a run of envelopes under one lock acquisition; the
-// slice contents are copied, so the caller may reuse es immediately.
-func (q *ubq) pushAll(es []Envelope) {
-	if len(es) == 0 {
-		return
-	}
+// push enqueues a run of envelopes under one lock acquisition; the slice
+// contents are copied, so the caller may reuse es immediately. It is a
+// no-op after close.
+func (q *ubq) push(es []Envelope) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -77,31 +53,15 @@ func (q *ubq) pushAll(es []Envelope) {
 	q.cond.Signal()
 }
 
-// single claims the inbox for envelope-at-a-time consumption and returns
-// its receive channel. Panics if the inbox is already consumed in batches.
-func (q *ubq) single() <-chan Envelope {
-	q.setMode(ubqSingle, "transport: Inbox called on an inbox already consumed via InboxBatch")
-	return q.out
-}
-
-// batch claims the inbox for batch consumption and returns its receive
-// channel. Panics if the inbox is already consumed envelope-at-a-time.
+// batch claims the inbox for its consumer and returns its receive channel.
 func (q *ubq) batch() <-chan []Envelope {
-	q.setMode(ubqBatch, "transport: InboxBatch called on an inbox already consumed via Inbox")
-	return q.outB
-}
-
-func (q *ubq) setMode(mode int, msg string) {
 	q.mu.Lock()
-	if q.mode == ubqUnset {
-		q.mode = mode
+	if !q.claimed {
+		q.claimed = true
 		q.cond.Signal()
 	}
-	bad := q.mode != mode
 	q.mu.Unlock()
-	if bad {
-		panic(msg)
-	}
+	return q.outB
 }
 
 // close stops the pump; pending items are dropped (crash-stop semantics:
@@ -119,60 +79,18 @@ func (q *ubq) close() {
 	q.wg.Wait()
 }
 
-// pump waits for the consumption mode to be fixed, then runs the matching
-// emit loop. Both output channels close on exit, so a consumer holding
-// either sees the close however the inbox was (or was never) consumed.
+// pump drains up to ubqBatchCap pending envelopes per round into one of
+// two alternating reusable buffers. The buffer handed to the consumer is
+// not touched again until after the consumer's next receive, which is the
+// InboxBatch ownership contract. outB closes when the pump exits.
 func (q *ubq) pump() {
 	defer q.wg.Done()
-	defer close(q.out)
 	defer close(q.outB)
-	q.mu.Lock()
-	for q.mode == ubqUnset && !q.closed {
-		q.cond.Wait()
-	}
-	mode := q.mode
-	q.mu.Unlock()
-	if mode == ubqBatch {
-		q.pumpBatch()
-		return
-	}
-	q.pumpSingle()
-}
-
-func (q *ubq) pumpSingle() {
-	for {
-		q.mu.Lock()
-		for len(q.items) == 0 && !q.closed {
-			q.cond.Wait()
-		}
-		if q.closed {
-			q.mu.Unlock()
-			return
-		}
-		e := q.items[0]
-		// Shift so the backing array does not pin delivered envelopes.
-		copy(q.items, q.items[1:])
-		q.items = q.items[:len(q.items)-1]
-		q.mu.Unlock()
-
-		select {
-		case q.out <- e:
-		case <-q.done:
-			return
-		}
-	}
-}
-
-// pumpBatch drains up to ubqBatchCap pending envelopes per round into one
-// of two alternating reusable buffers. The buffer handed to the consumer
-// is not touched again until after the consumer's next receive, which is
-// the InboxBatch ownership contract.
-func (q *ubq) pumpBatch() {
 	var bufs [2][]Envelope
 	cur := 0
 	for {
 		q.mu.Lock()
-		for len(q.items) == 0 && !q.closed {
+		for (len(q.items) == 0 || !q.claimed) && !q.closed {
 			q.cond.Wait()
 		}
 		if q.closed {
