@@ -39,6 +39,8 @@ func TestCodecWireRoundTripEdgeCases(t *testing.T) {
 		InitMsg{},
 		InitMsg{View: 9, Leave: []ident.PID{}},
 		InitMsg{View: 9, Leave: []ident.PID{"a", "b"}},
+		InitMsg{View: 9, Recv: []ident.Seq{}},
+		InitMsg{View: 9, Epoch: 3, Join: []ident.PID{"c"}, Recv: []ident.Seq{0, 7, 1 << 40}},
 		PredMsg{},
 		PredMsg{View: 4, Msgs: []DataMsg{}},
 		PredMsg{View: 4, Msgs: []DataMsg{{View: 4, Meta: obsolete.Msg{Sender: "q", Seq: 7, Annot: []byte{1}}, Payload: []byte("x")}}},
@@ -83,6 +85,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add("p1", uint64(1), uint64(1), []byte{1, 2}, []byte("payload"), "p2", int64(3), false)
 	f.Add("", uint64(0), uint64(0), []byte(nil), []byte(nil), "", int64(0), true)
 	f.Add("sender/with/slash", uint64(1<<40), uint64(1<<50), []byte{}, []byte{}, "x", int64(-1), false)
+	// INIT frontiers at the extremes of the uvarint encoding.
+	f.Add("p0", uint64(2), uint64(0), []byte(nil), []byte(nil), "p9", int64(0), false)
+	f.Add("p0", uint64(1<<63), uint64(1<<64-1), []byte(nil), []byte(nil), "p1", int64(0), false)
 	f.Fuzz(func(t *testing.T, sender string, view, seq uint64, annot, payload []byte, peer string, credits int64, nils bool) {
 		meta := obsolete.Msg{Sender: ident.PID(sender), Seq: ident.Seq(seq), Annot: annot}
 		dm := DataMsg{View: ident.ViewID(view), Meta: meta, Payload: payload}
@@ -93,6 +98,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		stable := StableMsg{View: ident.ViewID(view)}
 		if !nils {
 			init.Leave = []ident.PID{ident.PID(peer), ident.PID(sender)}
+			init.Recv = []ident.Seq{ident.Seq(seq), ident.Seq(view), 0}
 			pred.Msgs = []DataMsg{dm, {View: dm.View}}
 			stable.Recv = map[ident.PID]ident.Seq{
 				ident.PID(sender): ident.Seq(seq),

@@ -70,8 +70,10 @@ type Config struct {
 
 	// StabilityInterval enables reception-frontier gossip at the given
 	// period: messages known received by every member are pruned from the
-	// delivery history and excluded from view-change flush sets (see
-	// stability.go). Zero disables stability tracking.
+	// delivery history between view changes (see stability.go). Zero
+	// disables the gossip. Either way a view-change flush leaves out the
+	// messages every member has received: members report their frontiers
+	// on the INIT round of the change itself.
 	StabilityInterval time.Duration
 
 	// Heal enables partition healing (see merge.go): a blocked view change

@@ -121,10 +121,15 @@ type Engine struct {
 	// blockStart stamps the group blocking at t5 (viewChange histogram).
 	blockStart time.Time
 
-	// Stability tracking (see stability.go).
+	// Stability tracking (see stability.go). initFrom lists the members
+	// whose frontier arrived on this view change's INIT round; ownPred is
+	// this member's PRED, held while predOwed until those frontiers are in.
 	recvTable map[ident.PID]map[ident.PID]ident.Seq
 	stable    map[ident.PID]ident.Seq
 	stabTick  obs.Ticker
+	initFrom  ident.PIDs
+	ownPred   []DataMsg
+	predOwed  bool
 
 	deliverWaiters []*request
 	multicastQ     []*request

@@ -204,8 +204,10 @@ func TestPartitionHealSplitAndMerge(t *testing.T) {
 		}
 	}
 
-	// And the whole execution satisfies §3.2 across the partition.
+	// And the whole execution satisfies §3.2 across the partition, with
+	// every queued entry inside its sender's reception frontier.
 	h.verify()
+	h.stopAndCheckFrontiers()
 }
 
 // TestPartitionHealSingletonMerge: the degenerate sub-view. A single

@@ -362,7 +362,17 @@ func (e *Engine) retryPending() {
 // coveredLocally reports whether a message m with m ⊑ m' for some queued
 // or delivered m' exists. Both queues answer from their sender index when
 // the relation is sender-local, keeping the per-arrival check O(window).
+//
+// Every caller first rejects m.Seq <= recvMax[m.Sender] (or, for our own
+// stream, <= lastSent), and every entry either queue holds from a sender
+// is at or below that frontier: acceptData, the flush adoption in
+// install, join seeding and a merge install all raise it. Under the empty
+// relation only an exact duplicate covers, so the answer is known to be
+// false without scanning the history.
 func (e *Engine) coveredLocally(m obsolete.Msg) bool {
+	if _, never := e.rel.(obsolete.Empty); never {
+		return false
+	}
 	return e.toDeliver.Covers(m) || e.delivered.Covers(m)
 }
 
@@ -528,15 +538,16 @@ func (e *Engine) triggerViewChange(join, leave ident.PIDs) error {
 		// re-request admission and are picked up by the next change.
 		return nil
 	}
-	init := InitMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Leave: leave, Join: join}
+	init := InitMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Leave: leave, Join: join, Recv: e.frontier()}
 	for _, p := range e.cv.Members {
 		e.send(p, transport.Ctl, init)
 	}
 	return nil
 }
 
-// onSuspicion reacts to failure detector events: they re-evaluate the
-// propose condition and, with AutoEvict, trigger eviction view changes.
+// onSuspicion reacts to failure detector events: they re-evaluate a PRED
+// waiting for frontiers and the propose condition and, with AutoEvict,
+// trigger eviction view changes.
 func (e *Engine) onSuspicion(ev fd.Event) {
 	if e.expelled {
 		return
@@ -544,6 +555,7 @@ func (e *Engine) onSuspicion(ev fd.Event) {
 	if ev.Suspected && e.cfg.AutoEvict && !e.blocked && !e.joining && e.cv.Includes(ev.P) {
 		_ = e.triggerViewChange(nil, ident.NewPIDs(ev.P))
 	}
+	e.sendPred()
 	e.checkPropose()
 	e.checkMergePropose()
 }
@@ -658,7 +670,9 @@ func (e *Engine) replayDeferred() {
 }
 
 // onInit is transition t5: block the group, adopt the leave and join
-// sets, compute and disseminate the local pred sequence.
+// sets, compute the local pred sequence and disseminate it once the
+// members' frontiers allow (sendPred). Every INIT of the current view
+// reports its sender's frontier, also one arriving after we blocked.
 func (e *Engine) onInit(from ident.PID, m InitMsg) {
 	if e.merge != nil && m.View == e.cv.ID && m.Epoch == e.cv.Epoch && e.cv.Includes(from) {
 		// A member started an ordinary change while we were merging. The
@@ -668,6 +682,7 @@ func (e *Engine) onInit(from ident.PID, m InitMsg) {
 		// the change completes.
 		e.abortMerge("view_change")
 	}
+	e.onInitFrontier(from, m)
 	if m.View != e.cv.ID || e.blocked || e.joining {
 		return
 	}
@@ -676,9 +691,15 @@ func (e *Engine) onInit(from ident.PID, m InitMsg) {
 	}
 	if from != e.cfg.Self {
 		// Forward so every correct process initiates even if the
-		// initiator crashed mid-dissemination.
+		// initiator crashed mid-dissemination; the copy reports our own
+		// frontier.
+		fwd := m
+		fwd.Recv = e.frontier()
+		e.onInitFrontier(e.cfg.Self, fwd)
 		for _, p := range e.cv.Members {
-			e.send(p, transport.Ctl, m)
+			if p != e.cfg.Self {
+				e.send(p, transport.Ctl, fwd)
+			}
 		}
 	}
 	e.blocked = true
@@ -693,10 +714,8 @@ func (e *Engine) onInit(from ident.PID, m InitMsg) {
 	// not admitted by the same change.
 	e.join = ident.NewPIDs(m.Join...).Without(e.cv.Members).Without(e.leave)
 
-	pred := PredMsg{View: e.cv.ID, Epoch: e.cv.Epoch, Msgs: e.localPred(false)}
-	for _, p := range e.cv.Members {
-		e.send(p, transport.Ctl, pred)
-	}
+	e.ownPred, e.predOwed = e.localPred(false), true
+	e.sendPred()
 
 	// Watch for the decision even if we never reach the propose condition
 	// ourselves — the decide flood must still install the view here.
@@ -941,15 +960,7 @@ func (e *Engine) install(val consensusValue) {
 		// must see our own frontiers), so stale retransmissions from
 		// either side are recognised as duplicates.
 		for s, q := range val.Recv {
-			if s == e.cfg.Self {
-				if q > e.lastSent {
-					e.lastSent = q
-				}
-				continue
-			}
-			if q > e.recvMax[s] {
-				e.recvMax[s] = q
-			}
+			e.noteReceived(obsolete.Msg{Sender: s, Seq: q})
 		}
 		e.finishMerge(val)
 	}
@@ -1001,6 +1012,21 @@ func (e *Engine) install(val consensusValue) {
 	e.retryParked()
 	e.replayDeferred()
 	e.serveJoins()
+}
+
+// noteReceived raises the reception frontier of m's sender to m.Seq;
+// for our own stream the frontier is lastSent, so numbering continues
+// past anything an earlier incarnation of this PID multicast.
+func (e *Engine) noteReceived(m obsolete.Msg) {
+	if m.Sender == e.cfg.Self {
+		if m.Seq > e.lastSent {
+			e.lastSent = m.Seq
+		}
+		return
+	}
+	if m.Seq > e.recvMax[m.Sender] {
+		e.recvMax[m.Sender] = m.Seq
+	}
 }
 
 // ---- dynamic membership: join handshake ------------------------------------
@@ -1141,23 +1167,18 @@ func (e *Engine) onJoinState(from ident.PID, m StateMsg) {
 	// continues the sequence numbering if this PID multicast in an
 	// earlier incarnation.
 	for s, q := range m.Recv {
-		if s == e.cfg.Self {
-			if q > e.lastSent {
-				e.lastSent = q
-			}
-			continue
-		}
-		if q > e.recvMax[s] {
-			e.recvMax[s] = q
-		}
+		e.noteReceived(obsolete.Msg{Sender: s, Seq: q})
 	}
 	// Backlog entries of the installed view never consumed a window slot
-	// here; remember them so their consumption grants no credits.
+	// here; remember them so their consumption grants no credits. Each
+	// entry also counts as received, in case the sponsor's frontier lags
+	// its own backlog: later copies must be recognised as duplicates.
 	e.joinSeeded = make(map[ident.PID]ident.Seq)
 	for _, dm := range m.Backlog {
 		if dm.View == m.View && dm.Epoch == m.Epoch && dm.Meta.Seq > e.joinSeeded[dm.Meta.Sender] {
 			e.joinSeeded[dm.Meta.Sender] = dm.Meta.Seq
 		}
+		e.noteReceived(dm.Meta)
 		e.toDeliver.ForceAppend(queue.Item{
 			Kind: queue.Data, View: uint64(dm.View), Epoch: uint64(dm.Epoch), Meta: dm.Meta, Payload: dm.Payload,
 		})

@@ -45,11 +45,22 @@ type DataBatchMsg struct {
 // and admitting the processes in Join. Joiners do not take part in the
 // flush or the consensus deciding the view that admits them; they are
 // brought up to date afterwards by a StateMsg.
+//
+// Recv is the sender's reception frontier when it blocked (the
+// initiator's: when it started the change): Recv[i] is the highest
+// sequence number it had received from the i-th member of the view named
+// by View/Epoch, members in sorted order. Every member sends an INIT to
+// every other as part of the change anyway (the initiator, then each
+// forwarder), so the frontiers travel at no extra message cost; a member
+// leaves out of its PRED every message each member reports received
+// (stability.go). A frontier whose length does not match the view, or
+// that comes from outside it, is ignored.
 type InitMsg struct {
 	View  ident.ViewID
 	Epoch ident.Epoch
 	Leave []ident.PID
 	Join  []ident.PID
+	Recv  []ident.Seq
 }
 
 // JoinReqMsg is sent by a process outside the group to a contact member to
@@ -233,7 +244,8 @@ func appendInitMsg(dst []byte, m InitMsg) []byte {
 	dst = codec.AppendUvarint(dst, uint64(m.View))
 	dst = codec.AppendUvarint(dst, uint64(m.Epoch))
 	dst = appendPIDs(dst, m.Leave)
-	return appendPIDs(dst, m.Join)
+	dst = appendPIDs(dst, m.Join)
+	return appendSeqs(dst, m.Recv)
 }
 
 func readInitMsg(r *codec.Reader) (InitMsg, error) {
@@ -242,7 +254,30 @@ func readInitMsg(r *codec.Reader) (InitMsg, error) {
 	m.Epoch = ident.Epoch(r.Uvarint())
 	m.Leave = readPIDs(r)
 	m.Join = readPIDs(r)
+	m.Recv = readSeqs(r)
 	return m, r.Err()
+}
+
+// appendSeqs encodes a rank-indexed frontier: the count, then one uvarint
+// per member.
+func appendSeqs(dst []byte, qs []ident.Seq) []byte {
+	dst = codec.AppendCount(dst, len(qs), qs == nil)
+	for _, q := range qs {
+		dst = codec.AppendUvarint(dst, uint64(q))
+	}
+	return dst
+}
+
+func readSeqs(r *codec.Reader) []ident.Seq {
+	n, isNil := r.Count()
+	if isNil {
+		return nil
+	}
+	out := make([]ident.Seq, 0, capHint(n))
+	for i := 0; i < n && r.Err() == nil; i++ {
+		out = append(out, ident.Seq(r.Uvarint()))
+	}
+	return out
 }
 
 func appendPIDs(dst []byte, ps []ident.PID) []byte {
